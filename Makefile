@@ -51,7 +51,7 @@ bench-only:
 
 # Engine v3 at scale: the full SCALE sweep — single-sender RB to
 # n=10,000 and consensus to n=301 (55M deliveries) under the arena
-# core, cross-core identity and flat-allocation claims gated.
+# core, reference-oracle identity and flat-allocation claims gated.
 # ~5 min serial; the n=10,000 cell wants several GB of RAM (per-node
 # protocol state, not the delivery engine).
 scale:
@@ -60,7 +60,7 @@ scale:
 	dune exec bin/bench_diff.exe -- --check-claims results/json-scale/
 
 # Regenerate the committed refactor-gate baseline. PERF is excluded on
-# purpose: it races the two delivery cores head to head, so its timing
+# purpose: it races the arena core against the reference core, so its timing
 # cells change run to run and can never be a determinism reference.
 # PERF2 is included on purpose: its digests are independent of machine,
 # --jobs, and pool backend, so the baseline pins executor determinism.

@@ -650,7 +650,7 @@ let trace_cmd =
 (* ubpa run: drive the protocol over actual concurrent per-node processes
    (lib/runtime) instead of the lockstep simulator, then hold the run to
    the simulator's verdict: the recorded delivery schedule must replay
-   cleanly through the indexed core, and decisions, decide rounds, trace
+   cleanly through the reference core, and decisions, decide rounds, trace
    events and wire accounting must match a fresh simulator run on the
    same population. Needs an OCaml 5 build; on 4.14 it fails gracefully
    with "runtime unavailable". *)

@@ -7,8 +7,7 @@
     loss/duplication is configured. A plan is pure data: the engine
     ({!Ubpa_sim.Network.Make.create}[ ?faults]) interprets it at the
     delivery boundary, drawing every probabilistic decision from its own
-    splitmix64 stream so runs are reproducible from the engine seed and
-    identical across delivery cores.
+    splitmix64 stream so runs are reproducible from the engine seed.
 
     Faults address nodes by identifier. Plans only ever affect correct
     nodes — Byzantine misbehaviour is expressed as

@@ -10,6 +10,29 @@ let split_population ~seed ~n_correct ~n_byz =
   let byz = List.filteri (fun i _ -> i >= n_correct) ids in
   (correct, byz)
 
+module Reference = struct
+  type t = {
+    wire : Ubpa_obs.Wire.t;
+    mutable rounds : int;
+    mutable delivered : int;
+    mutable divergence : string option;
+  }
+
+  let create () =
+    {
+      wire = Ubpa_obs.Wire.create ();
+      rounds = 0;
+      delivered = 0;
+      divergence = None;
+    }
+
+  let wire r = r.wire
+  let rounds r = r.rounds
+  let delivered r = r.delivered
+  let divergence r = r.divergence
+  let agrees r = r.divergence = None
+end
+
 module Make (P : Protocol.S) = struct
   module Net = Network.Make (P)
 
@@ -29,10 +52,10 @@ module Make (P : Protocol.S) = struct
     net : Net.t;
   }
 
-  let create ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-      ?classify ?stimulus ~correct ~byzantine () =
-    Net.create ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-      ?classify ?stimulus ~correct ~byzantine ()
+  let create ?rushing ?seed ?faults ?trace ?classify ?stimulus ~correct
+      ~byzantine () =
+    Net.create ?rushing ?seed ?faults ?trace ?classify ?stimulus ~correct
+      ~byzantine ()
 
   let collect net ~finished =
     let metrics = Net.metrics net in
@@ -61,9 +84,54 @@ module Make (P : Protocol.S) = struct
   let observe monitor net =
     Ubpa_monitor.observe monitor ~round:(Net.round net) (observations net)
 
-  (* [Net.run] / [Net.run_until], with a monitor observation after every
-     round. *)
-  let run_monitored ?(max_rounds = 10_000) ?stop net ~monitor =
+  (* Re-route the round the network just executed through the reference
+     core and compare: delivered count and every present node's routed
+     inbox, in order. Wire counters are charged per delivery, the way the
+     reference core reports them, for [Wire.equal] against the
+     network's own once-per-broadcast accounting. *)
+  let check_reference ?classify (r : Reference.t) net =
+    match Net.routed net with
+    | None -> ()
+    | Some (envelopes, view) ->
+        let round = Net.round net in
+        let kind_of =
+          match classify with Some f -> f | None -> fun _ -> "msg"
+        in
+        let on_deliver ~recipient ~src m =
+          Ubpa_obs.Wire.record r.wire ~round ~sender:src ~recipient
+            ~kind:(kind_of m) ~bits:(P.encoded_bits m)
+        in
+        let present = Node_id.Set.of_list (Delivery.view_present view) in
+        let inboxes, count =
+          Delivery.route_reference ~on_deliver ~equal:P.equal_message ~present
+            ~envelopes ()
+        in
+        r.rounds <- r.rounds + 1;
+        r.delivered <- r.delivered + count;
+        let same (s1, m1) (s2, m2) =
+          Node_id.equal s1 s2 && P.compare_message m1 m2 = 0
+        in
+        let arena_count = Delivery.view_delivered view in
+        if r.divergence = None then
+          r.divergence <-
+            (if count <> arena_count then
+               Some
+                 (Printf.sprintf "round %d: arena delivered %d, reference %d"
+                    round arena_count count)
+             else
+               Node_id.Map.fold
+                 (fun id inbox acc ->
+                   let routed = Delivery.view_inbox view id in
+                   if acc <> None || List.equal same routed inbox then acc
+                   else
+                     Some
+                       (Fmt.str "round %d: inbox of %a differs" round
+                          Node_id.pp id))
+                 inboxes None)
+
+  (* [Net.run] (without [stop]) / [Net.run_until] (with it), calling
+     [after_round] after every round. *)
+  let run_stepped ?(max_rounds = 10_000) ?stop net ~after_round =
     if stop = None && not (Net.has_correct net) then `No_correct_nodes
     else
       let finished () =
@@ -79,15 +147,14 @@ module Make (P : Protocol.S) = struct
               `Max_rounds_reached (Net.stalled net)
             else begin
               Net.step_round net;
-              observe monitor net;
+              after_round ();
               go ()
             end
       in
       go ()
 
-  let execute ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-      ?classify ?stimulus ?max_rounds ?stop ?(settle = 0) ?monitor ~correct
-      ~byzantine () =
+  let execute ?rushing ?seed ?faults ?trace ?classify ?stimulus ?max_rounds
+      ?stop ?(settle = 0) ?monitor ?reference ~correct ~byzantine () =
     (* Event-based invariants need an enabled trace to subscribe to; give
        monitored runs one even if the caller did not ask for a trace. *)
     let trace =
@@ -97,26 +164,23 @@ module Make (P : Protocol.S) = struct
       | None, None -> None
     in
     let net =
-      create ?rushing ?delivery ?wire_accounting ?seed ?faults ?trace
-        ?classify ?stimulus ~correct ~byzantine ()
+      create ?rushing ?seed ?faults ?trace ?classify ?stimulus ~correct
+        ~byzantine ()
     in
+    let after_round () =
+      Option.iter (fun m -> observe m net) monitor;
+      Option.iter (fun r -> check_reference ?classify r net) reference
+    in
+    (match (monitor, trace) with
+    | Some monitor, Some tr when Trace.enabled tr ->
+        Trace.subscribe tr (Ubpa_monitor.observe_event monitor)
+    | _ -> ());
     let finished =
-      match monitor with
-      | None -> (
-          match stop with
-          | None -> (Net.run ?max_rounds net :> finished)
-          | Some stop -> (Net.run_until ?max_rounds net ~stop :> finished))
-      | Some monitor ->
-          Option.iter
-            (fun tr ->
-              if Trace.enabled tr then
-                Trace.subscribe tr (Ubpa_monitor.observe_event monitor))
-            trace;
-          (run_monitored ?max_rounds ?stop net ~monitor :> finished)
+      (run_stepped ?max_rounds ?stop net ~after_round :> finished)
     in
     for _ = 1 to settle do
       Net.step_round net;
-      match monitor with None -> () | Some m -> observe m net
+      after_round ()
     done;
     collect net ~finished
 end

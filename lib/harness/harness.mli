@@ -26,6 +26,35 @@ val split_population :
 (** One scattered id population, first [n_correct] ids correct, the rest
     Byzantine. *)
 
+(** Live differential oracle for the delivery engine: every round a
+    network executes is re-routed through {!Delivery.route_reference}
+    ({!Make.check_reference}) and compared with what the arena core
+    routed. Valid for any run, faulty or not — it checks routing, which
+    happens before receive faults. *)
+module Reference : sig
+  type t
+
+  val create : unit -> t
+
+  val wire : t -> Ubpa_obs.Wire.t
+  (** Wire counters charged per delivery at the reference core's accept
+      points, with the network's sizes and kinds: {!Ubpa_obs.Wire.equal}
+      to the network's own {!Network.Make.wire} when accounting agrees. *)
+
+  val rounds : t -> int
+  (** Rounds checked. *)
+
+  val delivered : t -> int
+  (** Deliveries the reference core routed over the checked rounds. *)
+
+  val divergence : t -> string option
+  (** The first round where the delivered count or a present node's
+      inbox (senders, payloads by [compare_message], order) differed. *)
+
+  val agrees : t -> bool
+  (** No divergence. *)
+end
+
 module Make (P : Protocol.S) : sig
   module Net : module type of Network.Make (P)
 
@@ -49,8 +78,6 @@ module Make (P : Protocol.S) : sig
 
   val create :
     ?rushing:bool ->
-    ?delivery:Delivery.impl ->
-    ?wire_accounting:bool ->
     ?seed:int64 ->
     ?faults:Ubpa_faults.plan ->
     ?trace:Trace.t ->
@@ -74,10 +101,15 @@ module Make (P : Protocol.S) : sig
   (** Feed the network's current state to a monitor — what hand-driven
       round loops call after each [Net.step_round]. *)
 
+  val check_reference :
+    ?classify:(P.message -> string) -> Reference.t -> Net.t -> unit
+  (** Check the round [net] last executed against the reference core.
+      Call it after every [Net.step_round] (the routed view is only valid
+      until the next one); a no-op before the first round. [classify]
+      must be the network's, so the two wires price kinds alike. *)
+
   val execute :
     ?rushing:bool ->
-    ?delivery:Delivery.impl ->
-    ?wire_accounting:bool ->
     ?seed:int64 ->
     ?faults:Ubpa_faults.plan ->
     ?trace:Trace.t ->
@@ -87,6 +119,7 @@ module Make (P : Protocol.S) : sig
     ?stop:(Net.t -> bool) ->
     ?settle:int ->
     ?monitor:P.output Ubpa_monitor.t ->
+    ?reference:Reference.t ->
     correct:(Node_id.t * P.input) list ->
     byzantine:(Node_id.t * P.message Strategy.t) list ->
     unit ->
@@ -100,5 +133,6 @@ module Make (P : Protocol.S) : sig
       the monitor after every round (settle rounds included) and
       subscribes it to the trace — an enabled trace is created on the
       caller's behalf if none was supplied, so event-based invariants
-      always see the run. *)
+      always see the run. [reference] runs {!check_reference} after every
+      round, settle rounds included, on the same hand-driven loop. *)
 end

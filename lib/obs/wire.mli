@@ -2,7 +2,7 @@
 
     One accumulator per network run: every envelope a delivery core
     accepts (post-dedup — a dropped duplicate never crossed the model's
-    wire twice) is recorded here with its sender, recipient, round,
+    wire twice) is charged here with its sender, recipient, round,
     message kind, and encoded size in bits. Receive-omission faults are
     applied {e after} routing, so wire counts include messages a faulty
     receiver subsequently dropped: the message was transmitted either way.
@@ -10,12 +10,14 @@
     Counters are totals plus four breakdowns — per round, per recipient
     node, per sender node, per message kind — each a [(messages, bits)]
     pair. Both directions matter for per-processor budgets: a broadcast
-    costs its sender one send but every present recipient one delivery,
-    while a sparse unicast fan-out (the committee protocols) bills the
-    sender once per addressed peer. All delivery cores feed the same
-    accumulator through the same hook, which is what makes {!equal} a
-    meaningful cross-core identity check (claim-gated in experiments CX1
-    and CX2, like delivery counts before it). *)
+    accepted by [k] recipients costs its sender [k] messages and every
+    one of those recipients one delivery, while a sparse unicast fan-out
+    (the committee protocols) bills the sender once per addressed peer.
+
+    {!record} charges one delivery; {!record_broadcast} charges a whole
+    accepted broadcast in O(1). The network uses the second for
+    broadcasts, the reference core and replays only the first; {!equal}
+    between the two is the cross-core identity gated in CX1 and CX2. *)
 
 open Ubpa_util
 
@@ -33,6 +35,26 @@ val record :
   kind:string ->
   bits:int ->
   unit
+(** One delivery of [bits] bits. *)
+
+val record_broadcast :
+  t ->
+  round:int ->
+  sender:Node_id.t ->
+  present:Node_id.Set.t ->
+  excluded:Node_id.t list ->
+  kind:string ->
+  bits:int ->
+  unit
+(** One broadcast of [bits] bits accepted by every node of [present]
+    except [excluded] (distinct members that already took an equal
+    unicast from [sender] this round). With [k] accepting recipients it
+    charges [k] messages and [k * bits] to the total, the round, the
+    sender and the kind, and one message of [bits] to each accepting
+    recipient — exactly what [k] calls to {!record} would; nothing when
+    [k = 0]. O(1) in [k]: [present] is interned once per physically
+    distinct set (a network passes one per round), and the recipients'
+    credit is settled when a breakdown is next read. *)
 
 val messages : t -> int
 (** Total deliveries recorded (equals the sum of any breakdown). *)
@@ -50,7 +72,8 @@ val per_sender : t -> (Node_id.t * count) list
 (** Ascending by sender id. A broadcast accepted by [k] recipients
     contributes [k] to its sender — wire accounting prices what actually
     crossed the wire, and a broadcast in the model is [k] point-to-point
-    transmissions (see docs/OBSERVABILITY.md on sparse-send semantics). *)
+    transmissions (see docs/OBSERVABILITY.md on sparse-send semantics);
+    {!record_broadcast} charges those [k] in one call. *)
 
 val per_kind : t -> (string * count) list
 (** Ascending by kind. Kinds come from the network's [classify] function;
@@ -79,4 +102,5 @@ val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
 (** Accepts documents written before the per-sender breakdown existed
-    (their sender counters load empty). *)
+    (their sender counters load empty). Node rows with zero messages are
+    dropped, since no recording can produce them. *)

@@ -124,7 +124,7 @@ module Make (P : Protocol.S) : sig
       cleanly). *)
 
   val replay : ?delivered:bool -> run -> Oracle.outcome
-  (** Feed the recorded schedule through the simulator's indexed delivery
+  (** Feed the recorded schedule through the simulator's reference delivery
       core — the oracle verdict callers gate on. [delivered] (default
       false) switches {!Ubpa_sim.Replay.Make.replay} to delivered mode:
       required for runs whose faults created holes, where the runtime's

@@ -737,10 +737,11 @@ module Committee_int = struct
     max_budget_msgs : int;
     max_budget_bits : int;
     monitor_green : bool;
+    wire : Ubpa_obs.Wire.t;
   }
 
-  let run ?(seed = 10L) ?(max_rounds = 400) ?(byz = []) ?delivery
-      ?wire_accounting ?rushing ?trace ~n_correct ~inputs () =
+  let run ?(seed = 10L) ?(max_rounds = 400) ?(byz = []) ?rushing ?trace
+      ?reference ~n_correct ~inputs () =
     let correct_ids, byz_ids =
       split_population ~seed ~n_correct ~n_byz:(List.length byz)
     in
@@ -768,8 +769,8 @@ module Committee_int = struct
         ]
     in
     let o =
-      H.execute ?delivery ?wire_accounting ?rushing ?trace ~seed ~max_rounds
-        ~classify:P.kind ~monitor ~correct ~byzantine ()
+      H.execute ?rushing ?trace ~seed ~max_rounds
+        ~classify:P.kind ~monitor ?reference ~correct ~byzantine ()
     in
     let outputs = o.H.outputs in
     let values = List.map snd outputs in
@@ -824,5 +825,6 @@ module Committee_int = struct
       max_budget_msgs = budget.Ubpa_obs.Wire.msgs;
       max_budget_bits = budget.Ubpa_obs.Wire.bits;
       monitor_green = Ubpa_monitor.all_green monitor;
+      wire;
     }
 end

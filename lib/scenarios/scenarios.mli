@@ -144,27 +144,29 @@ module Committee_int : sig
         (** largest per-node wire budget (sent + received messages) over
             the {e correct} nodes — a flooding adversary's own sent-side
             spend is excluded, its inflation of correct receivers is
-            not; 0 when [wire_accounting] is off *)
+            not *)
     max_budget_bits : int;  (** ditto, in bits — CX2's gated quantity *)
     monitor_green : bool;
         (** online agreement/validity monitors saw no violation *)
+    wire : Ubpa_obs.Wire.t;  (** the run's wire counters *)
   }
 
   val run :
     ?seed:int64 ->
     ?max_rounds:int ->
     ?byz:P.message Strategy.t list ->
-    ?delivery:Delivery.impl ->
-    ?wire_accounting:bool ->
     ?rushing:bool ->
     ?trace:Trace.t ->
+    ?reference:Ubpa_harness.Harness.Reference.t ->
     n_correct:int ->
     inputs:(int -> int) ->
     unit ->
     summary
   (** [inputs i] is the input of the [i]-th correct node. The universe
       handed to every node is the full scattered population (correct and
-      Byzantine); the committee is sampled from it by the public seed. *)
+      Byzantine); the committee is sampled from it by the public seed.
+      [reference] checks every round against the reference delivery core
+      ({!Ubpa_harness.Harness.Make.check_reference}). *)
 end
 
 (** {1 Approximate agreement (Algorithm 4)} *)

@@ -1,25 +1,23 @@
 open Ubpa_util
 
-type impl = Indexed | Naive | Arena
-
 type 'm on_deliver = recipient:Node_id.t -> src:Node_id.t -> 'm -> unit
 
-let no_notify : _ on_deliver = fun ~recipient:_ ~src:_ _ -> ()
-
-let notify_of = function None -> no_notify | Some f -> f
+type 'm on_broadcast =
+  src:Node_id.t -> 'm -> k:int -> excluded:Node_id.t list -> unit
 
 let by_sender (a, _) (b, _) = Node_id.compare a b
 
 (* Seed-engine core, kept as the executable specification. The final
    [List.sort] is OCaml's stable sort, so same-sender messages stay in
-   send order — the indexed core must match that, not just the multiset.
+   send order — the arena core must match that, not just the multiset.
 
    [on_deliver] fires at the accept point — after the dedup decided the
-   delivery counts — with the recipient, sender, and payload; both cores
-   call it at exactly the point where they [incr delivered], so wire
-   accounting inherits the cores' delivery-identity guarantee. *)
-let route_reference ?on_deliver ~equal ~present ~envelopes () =
-  let notify = notify_of on_deliver in
+   delivery counts — with the recipient, sender, and payload, at exactly
+   the point where the core does [incr delivered]. Replaying those calls
+   through [Wire.record] is the oracle the arena core's once-per-broadcast
+   accounting is checked against. *)
+let route_reference ?(on_deliver = fun ~recipient:_ ~src:_ _ -> ()) ~equal
+    ~present ~envelopes () =
   let inboxes : (Node_id.t * 'm) list ref Node_id.Map.t =
     Node_id.Set.fold
       (fun id acc -> Node_id.Map.add id (ref []) acc)
@@ -39,7 +37,7 @@ let route_reference ?on_deliver ~equal ~present ~envelopes () =
         if not dup then begin
           box := (env.src, env.payload) :: !box;
           incr delivered;
-          notify ~recipient ~src:env.src env.payload
+          on_deliver ~recipient ~src:env.src env.payload
         end
   in
   List.iter
@@ -51,149 +49,12 @@ let route_reference ?on_deliver ~equal ~present ~envelopes () =
   let sorted = Node_id.Map.map (fun box -> List.sort by_sender (List.rev !box)) inboxes in
   (sorted, !delivered)
 
-(* Per-recipient delivery bucket: items newest-first, plus a sender-keyed
-   table of the payloads already delivered so the dup check scans only one
-   sender's distinct payloads instead of the whole inbox. [owner] is the
-   recipient's id, carried so the accept point can report deliveries. *)
-type 'm box = {
-  owner : Node_id.t;
-  mutable rev_items : (Node_id.t * 'm) list;
-  seen : (Node_id.t, 'm list) Hashtbl.t;
-}
-
-(* Dense variant of the indexed core: recipients are resolved through a
-   per-network interner so broadcast fan-out indexes an array instead of
-   hashing node ids. Per-recipient dedup state is identical to the sparse
-   indexed path, so results are bit-for-bit the same. *)
-let route_indexed_dense ?on_deliver ~intr ~equal ~present ~envelopes () =
-  let notify = notify_of on_deliver in
-  let pres = Node_id.Set.elements present in
-  let pres_ix = List.map (Interner.intern intr) pres in
-  let boxes = Array.make (max 1 (Interner.size intr)) None in
-  List.iter2
-    (fun id ix ->
-      boxes.(ix) <- Some { owner = id; rev_items = []; seen = Hashtbl.create 8 })
-    pres pres_ix;
-  let delivered = ref 0 in
-  (* [find_opt] allocates its option on every hit, and this runs once per
-     (envelope, recipient): match on the lookup instead of defaulting
-     through [Option.value] so the accept path allocates nothing beyond
-     the delivery record itself. *)
-  let push box src payload =
-    match Hashtbl.find_opt box.seen src with
-    | Some prior when List.exists (equal payload) prior -> ()
-    | prior_opt ->
-        let prior = match prior_opt with Some l -> l | None -> [] in
-        Hashtbl.replace box.seen src (payload :: prior);
-        box.rev_items <- (src, payload) :: box.rev_items;
-        incr delivered;
-        notify ~recipient:box.owner ~src payload
-  in
-  let bcast_seen : (Node_id.t, 'm list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (env : 'm Envelope.t) ->
-      match env.dst with
-      | Envelope.To id -> (
-          match Interner.find_opt intr id with
-          | Some ix when ix < Array.length boxes -> (
-              match boxes.(ix) with
-              | Some box -> push box env.src env.payload
-              | None -> ())
-          | _ -> ())
-      | Envelope.Broadcast ->
-          let prior =
-            Option.value ~default:[] (Hashtbl.find_opt bcast_seen env.src)
-          in
-          if not (List.exists (equal env.payload) prior) then begin
-            Hashtbl.replace bcast_seen env.src (env.payload :: prior);
-            List.iter
-              (fun ix ->
-                match boxes.(ix) with
-                | Some box -> push box env.src env.payload
-                | None -> ())
-              pres_ix
-          end)
-    envelopes;
-  let inboxes =
-    List.fold_left2
-      (fun acc id ix ->
-        match boxes.(ix) with
-        | None -> acc
-        | Some box ->
-            let sorted = List.stable_sort by_sender (List.rev box.rev_items) in
-            Node_id.Map.add id sorted acc)
-      Node_id.Map.empty pres pres_ix
-  in
-  (inboxes, !delivered)
-
-let route_indexed_sparse ?on_deliver ~equal ~present ~envelopes () =
-  let notify = notify_of on_deliver in
-  let n = Node_id.Set.cardinal present in
-  let boxes : (Node_id.t, _ box) Hashtbl.t = Hashtbl.create (max 16 (2 * n)) in
-  Node_id.Set.iter
-    (fun id ->
-      Hashtbl.replace boxes id
-        { owner = id; rev_items = []; seen = Hashtbl.create 8 })
-    present;
-  let delivered = ref 0 in
-  (* Same per-push shape as the dense path: no [Option.value ~default]
-     allocation in the dedup check. *)
-  let push box src payload =
-    match Hashtbl.find_opt box.seen src with
-    | Some prior when List.exists (equal payload) prior -> ()
-    | prior_opt ->
-        let prior = match prior_opt with Some l -> l | None -> [] in
-        Hashtbl.replace box.seen src (payload :: prior);
-        box.rev_items <- (src, payload) :: box.rev_items;
-        incr delivered;
-        notify ~recipient:box.owner ~src payload
-  in
-  (* Sender-level broadcast dedup: the present set is fixed for the round,
-     so a repeated broadcast from the same sender cannot deliver anything
-     the first copy did not (any interleaved unicast of the same payload is
-     caught by the per-recipient check either way). *)
-  let bcast_seen : (Node_id.t, 'm list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (env : 'm Envelope.t) ->
-      match env.dst with
-      | Envelope.To id -> (
-          match Hashtbl.find_opt boxes id with
-          | None -> ()
-          | Some box -> push box env.src env.payload)
-      | Envelope.Broadcast ->
-          let prior =
-            Option.value ~default:[] (Hashtbl.find_opt bcast_seen env.src)
-          in
-          if not (List.exists (equal env.payload) prior) then begin
-            Hashtbl.replace bcast_seen env.src (env.payload :: prior);
-            (* [find_opt], matching the dense path: every present id has a
-               box, but an exception-raising [find] here would turn any
-               future bookkeeping slip into a routed-round abort instead
-               of a droppable miss. *)
-            Node_id.Set.iter
-              (fun id ->
-                match Hashtbl.find_opt boxes id with
-                | Some box -> push box env.src env.payload
-                | None -> ())
-              present
-          end)
-    envelopes;
-  let inboxes =
-    Node_id.Set.fold
-      (fun id acc ->
-        let box = Hashtbl.find boxes id in
-        let sorted = List.stable_sort by_sender (List.rev box.rev_items) in
-        Node_id.Map.add id sorted acc)
-      present Node_id.Map.empty
-  in
-  (inboxes, !delivered)
-
 (* -------------------------------------------------------------------- *)
-(* Engine v3: arena-based sparse delivery.                               *)
+(* The arena core: the simulator's delivery engine.                     *)
 (*                                                                       *)
-(* The indexed cores rebuild per-recipient hashtables and a Node_id.Map  *)
-(* every round, which is fine at n ≈ 300 and dominates the profile at    *)
-(* n ≈ 10,000. The arena core keeps one grow-only state across rounds:   *)
+(* Rebuilding per-recipient hashtables and a Node_id.Map every round is  *)
+(* fine at n ≈ 300 and dominates the profile at n ≈ 10,000. The arena    *)
+(* core keeps one grow-only state across rounds:                         *)
 (*                                                                       *)
 (*   - recipients and senders are interned once (the interner persists   *)
 (*     and only grows), and per-round presence is a stamp in a flat      *)
@@ -209,13 +70,15 @@ let route_indexed_sparse ?on_deliver ~equal ~present ~envelopes () =
 (*     common one-payload-per-sender case, falling back to a hashed      *)
 (*     payload list only for senders that broadcast twice.               *)
 (*                                                                       *)
-(* Delivery identity with the other cores is the contract: same sorted   *)
-(* inboxes, same [delivered] count, same accept-point [on_deliver]       *)
-(* multiset. The subtle case is cross-shape dedup — a unicast equal to   *)
-(* an earlier broadcast from the same sender is suppressed at scan time, *)
-(* while a broadcast equal to an earlier accepted unicast records the    *)
-(* already-served recipients in its exclusion list and skips them at     *)
-(* read time (and subtracts them from [delivered]).                      *)
+(* Delivery identity with the reference core is the contract: same      *)
+(* sorted inboxes, same [delivered] count, and accept-point hooks whose  *)
+(* expansion (a broadcast to its k recipients) is the reference core's   *)
+(* [on_deliver] multiset. The subtle case is cross-shape dedup — a       *)
+(* unicast equal to an earlier broadcast from the same sender is         *)
+(* suppressed at scan time, while a broadcast equal to an earlier        *)
+(* accepted unicast records the already-served recipients in its         *)
+(* exclusion list, skips them at read time, and subtracts them from      *)
+(* [delivered] and from the k its [on_broadcast] hook reports.           *)
 (*                                                                       *)
 (* Ordering: the reference core stable-sorts each inbox by sender over   *)
 (* send order, which is exactly ascending (sender id, global scan        *)
@@ -232,6 +95,9 @@ type 'm arena_state = {
          [present_at.(ix) = stamp]; advancing the stamp invalidates every
          mark in O(1). *)
   mutable present_at : int array;
+  mutable pres_rank : int array;
+      (* By dense index, valid where [present_at] is current: position in
+         the ascending present order. *)
   pres_ixs : int Arena.t; (* present members, ascending-id order *)
   pres_ids : Node_id.t Arena.t; (* parallel ids for [pres_ixs] *)
   (* Broadcast records: parallel arenas, one slot per accepted broadcast. *)
@@ -247,8 +113,9 @@ type 'm arena_state = {
   u_src : Node_id.t Arena.t;
   u_seq : int Arena.t;
   u_pay : 'm option Arena.t;
-  uni_seen : (int * int, 'm list) Hashtbl.t;
-      (* (recipient ix, sender ix) -> distinct payloads accepted *)
+  uni_seen : (int, 'm list) Hashtbl.t;
+      (* (recipient ix, sender ix), packed into one int so the key costs
+         no allocation -> distinct payloads accepted *)
   uni_by_sender : (int, (int * 'm) list) Hashtbl.t;
       (* sender ix -> accepted (recipient ix, payload), for broadcast
          exclusion lists *)
@@ -272,6 +139,7 @@ let arena_create ?(hint = 16) () =
     intr = Interner.create ~hint ();
     stamp = 0;
     present_at = Array.make hint 0;
+    pres_rank = Array.make hint 0;
     pres_ixs = Arena.create ~hint ~dummy:0 ();
     pres_ids = Arena.create ~hint ~dummy:dummy_id ();
     b_src = Arena.create ~hint ~dummy:dummy_id ();
@@ -307,6 +175,7 @@ let ensure_columns st =
       g
     in
     st.present_at <- grow st.present_at;
+    st.pres_rank <- grow st.pres_rank;
     st.sl_off <- grow st.sl_off;
     st.sl_len <- grow st.sl_len;
     st.sl_fill <- grow st.sl_fill;
@@ -374,7 +243,8 @@ let seal st =
 
 let payload_of = function Some p -> p | None -> assert false
 
-let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
+let route_arena ?on_deliver ?on_broadcast ~state:st ~equal ~present
+    ~envelopes () =
   (* New round: advance the stamp, drop lengths to zero, keep capacity.
      Payload slots from the previous round stay live until overwritten;
      that pins at most one round of messages, which is the price of the
@@ -400,6 +270,7 @@ let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
       let ix = Interner.intern st.intr id in
       ensure_columns st;
       st.present_at.(ix) <- st.stamp;
+      st.pres_rank.(ix) <- Arena.length st.pres_ixs;
       Arena.push st.pres_ixs ix;
       Arena.push st.pres_ids id)
     present;
@@ -414,7 +285,8 @@ let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
                && st.present_at.(rix) = st.stamp ->
             let six = Interner.intern st.intr env.src in
             ensure_columns st;
-            let ukey = (rix, six) in
+            (* Dense indices stay far below 2^31. *)
+            let ukey = (rix lsl 31) lor six in
             let prior = Hashtbl.find_opt st.uni_seen ukey in
             let dup_unicast =
               match prior with
@@ -477,19 +349,16 @@ let route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () =
           incr seq;
           Arena.push st.b_pay (Some env.payload);
           Arena.push st.b_excl excl;
-          st.delivered <- st.delivered + npresent - List.length excl;
-          match on_deliver with
-          | None -> ()
-          | Some f ->
-              (* Accept-point notification per recipient, ascending id —
-                 the multiset matches the fan-out cores. Only walked when
-                 a hook is installed, so the wire-accounting-off hot path
-                 keeps broadcasts O(1). *)
-              Arena.iteri st.pres_ixs (fun k rix ->
-                  if not (List.exists (Int.equal rix) excl) then
-                    f
-                      ~recipient:(Arena.unsafe_get st.pres_ids k)
-                      ~src:env.src env.payload)
+          let k = npresent - List.length excl in
+          st.delivered <- st.delivered + k;
+          (* One notification for the whole accepted broadcast: the
+             recipients are the present set minus [excl], so the hook
+             never walks them. *)
+          match on_broadcast with
+          | Some f when k > 0 ->
+              f ~src:env.src env.payload ~k
+                ~excluded:(List.map (Interner.extern st.intr) excl)
+          | _ -> ()
         end
   in
   List.iter scan envelopes;
@@ -563,24 +432,9 @@ let view_inbox st id =
 let view_present st =
   Arena.fold st.pres_ids ~init:[] ~f:(fun acc id -> id :: acc) |> List.rev
 
-let view_to_map st =
-  Arena.fold st.pres_ids ~init:Node_id.Map.empty ~f:(fun acc id ->
-      Node_id.Map.add id (view_inbox st id) acc)
-
-let route_indexed ?on_deliver ~interner ~equal ~present ~envelopes () =
-  match interner with
-  | Some intr -> route_indexed_dense ?on_deliver ~intr ~equal ~present ~envelopes ()
-  | None -> route_indexed_sparse ?on_deliver ~equal ~present ~envelopes ()
-
-let route ?on_deliver ~interner ~impl ~equal ~present ~envelopes () =
-  match impl with
-  | Indexed -> route_indexed ?on_deliver ~interner ~equal ~present ~envelopes ()
-  | Naive -> route_reference ?on_deliver ~equal ~present ~envelopes ()
-  | Arena ->
-      (* Ephemeral state: the map-returning entry point can't reuse the
-         arena across rounds, so this path exists for the generic [route]
-         API and the differential tests. Long-lived callers (the network
-         round loop) hold an [arena_state] and call [route_arena]. *)
-      let st = arena_create ~hint:(Node_id.Set.cardinal present) () in
-      let view = route_arena ?on_deliver ~state:st ~equal ~present ~envelopes () in
-      (view_to_map view, view_delivered view)
+let view_rank st id =
+  match Interner.find_opt st.intr id with
+  | Some rix
+    when rix < Array.length st.present_at && st.present_at.(rix) = st.stamp ->
+      Some st.pres_rank.(rix)
+  | _ -> None

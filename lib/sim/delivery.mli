@@ -1,7 +1,7 @@
-(** Per-round message delivery cores.
+(** Per-round message delivery.
 
-    Every core implements the same delivery contract over one round's worth
-    of envelopes:
+    Both cores implement the same delivery contract over one round's
+    worth of envelopes:
 
     - only nodes in [present] receive anything;
     - a recipient sees at most one copy of each [(sender, payload)] pair,
@@ -11,50 +11,27 @@
     - the returned count is the number of (deduplicated) deliveries, i.e.
       the total length of all inboxes.
 
-    {!route_reference} is the seed engine's list-scan implementation, kept
-    verbatim as an executable specification: the differential test replays
-    randomized traffic through the cores, and the PERF experiment races
-    them head to head. {!route_indexed} is engine v2 — single pass over the
-    envelopes with hash-keyed dedup, plus sender-level suppression of
-    repeated broadcast envelopes before fan-out. {!route_arena} is engine
-    v3 — a grow-only flat-arena state reused across rounds, broadcasts kept
-    as single logical records expanded lazily at read time, built for the
-    n ≈ 10,000 SCALE sweeps. *)
+    {!route_arena} is the simulator's only delivery engine: a grow-only
+    flat-arena state reused across rounds, broadcasts kept as single
+    logical records expanded lazily at read time, built for the
+    n ≈ 10,000 SCALE sweeps. {!route_reference} is the seed engine's
+    list-scan implementation, kept verbatim as the executable
+    specification — the single differential oracle the tests, the
+    bounded checker, schedule replay and the bench cross-core claims
+    route through. *)
 
 open Ubpa_util
 
-type impl =
-  | Indexed  (** Engine v2 (default). *)
-  | Naive  (** Seed engine. *)
-  | Arena  (** Engine v3: arena state, lazy broadcast expansion. *)
-
 type 'm on_deliver = recipient:Node_id.t -> src:Node_id.t -> 'm -> unit
-(** Delivery-accounting hook. Every core invokes it at its accept point —
-    immediately after a push survives the dedup and is counted — so a run
-    observed through [on_deliver] sees exactly the deliveries the returned
-    count reports, in the core's acceptance order. The network layer uses
-    it to feed {!Ubpa_obs.Wire} with per-message sizes. *)
+(** Per-delivery accounting hook, invoked at the core's accept point —
+    immediately after a push survives the dedup and is counted. *)
 
-val route_indexed :
-  ?on_deliver:'m on_deliver ->
-  interner:Interner.t option ->
-  equal:('m -> 'm -> bool) ->
-  present:Node_id.Set.t ->
-  envelopes:'m Envelope.t list ->
-  unit ->
-  (Node_id.t * 'm) list Node_id.Map.t * int
-(** Single-pass bucketed delivery. Per recipient, a hash table keyed by
-    sender holds the payloads already delivered from that sender, so each
-    push costs a lookup plus a scan of that sender's (few) distinct
-    payloads instead of a scan of the whole inbox. A repeated broadcast
-    envelope — same sender, [equal] payload — is dropped before fan-out:
-    since the present set is fixed for the round, it could not deliver
-    anything the first copy did not. [envelopes] must be in send order.
-
-    When [interner] is given (the per-network id table), recipients resolve
-    to dense indices and broadcast fan-out walks an array instead of a hash
-    table — same results, cheaper per push. Present ids are interned on
-    entry; unknown recipients are dropped exactly like absent ones. *)
+type 'm on_broadcast =
+  src:Node_id.t -> 'm -> k:int -> excluded:Node_id.t list -> unit
+(** Per-broadcast accounting hook: one accepted broadcast reached [k > 0]
+    recipients — every present node except [excluded], the distinct
+    recipients that already took an equal unicast from [src] this
+    round. *)
 
 val route_reference :
   ?on_deliver:'m on_deliver ->
@@ -64,14 +41,15 @@ val route_reference :
   unit ->
   (Node_id.t * 'm) list Node_id.Map.t * int
 (** The seed engine's core: list inboxes, linear duplicate scan per push.
-    Quadratic in per-recipient traffic; bit-for-bit the same result as
-    {!route_indexed} — including the [on_deliver] multiset, which is what
-    the CX1 cross-core wire-identity claim checks. *)
+    Quadratic in per-recipient traffic. [on_deliver] fires once per
+    counted delivery, broadcasts included, so its calls replayed through
+    {!Ubpa_obs.Wire.record} are the wire counters the arena core must
+    reproduce. *)
 
 type 'm arena_state
-(** Engine v3 round state: interner, presence stamps, flat record arenas
-    and CSR inbox slices, all grow-only and reused across rounds. Create
-    one per network and feed it every round through {!route_arena}; a
+(** Round state: interner, presence stamps, flat record arenas and CSR
+    inbox slices, all grow-only and reused across rounds. Create one per
+    network and feed it every round through {!route_arena}; a
     steady-state round allocates only the inbox lists actually read. *)
 
 val arena_create : ?hint:int -> unit -> 'm arena_state
@@ -86,47 +64,34 @@ type 'm view
 
 val route_arena :
   ?on_deliver:'m on_deliver ->
+  ?on_broadcast:'m on_broadcast ->
   state:'m arena_state ->
   equal:('m -> 'm -> bool) ->
   present:Node_id.Set.t ->
   envelopes:'m Envelope.t list ->
   unit ->
   'm view
-(** Engine v3 entry point. Scans [envelopes] once (dedup decisions and
-    [on_deliver] fire here, at the accept points), seals unicasts into
-    per-recipient CSR slices, and returns the round's read view. A
-    broadcast is accepted as one record and charged [|present|] minus its
-    exclusions to the delivered count without fanning out; when
-    [on_deliver] is present it is still invoked once per (non-excluded)
-    present recipient so wire accounting sees the fan-out multiset. *)
+(** Scans [envelopes] once (dedup decisions and hooks fire here, at the
+    accept points), seals unicasts into per-recipient CSR slices, and
+    returns the round's read view. [on_deliver] fires once per accepted
+    unicast. A broadcast is accepted as one record, charged
+    [|present|] minus its exclusions to the delivered count without
+    fanning out, and reported once through [on_broadcast]. The view
+    matches {!route_reference} on the same input: same inboxes, same
+    count, and hooks whose expansion is its [on_deliver] multiset. *)
 
 val view_delivered : 'm view -> int
-(** Total deliveries this round — same number the other cores return. *)
+(** Total deliveries this round — what {!route_reference} returns. *)
 
 val view_inbox : 'm view -> Node_id.t -> (Node_id.t * 'm) list
 (** [view_inbox v id] expands [id]'s inbox: a merge of the broadcast
     records (minus exclusions) with [id]'s unicast slice, sorted by
-    (sender id, send order) exactly like the other cores' inboxes.
+    (sender id, send order) exactly like {!route_reference}'s inboxes.
     Empty for absent or unknown recipients. *)
 
 val view_present : 'm view -> Node_id.t list
 (** The round's present set in ascending id order. *)
 
-val view_to_map : 'm view -> (Node_id.t * 'm) list Node_id.Map.t
-(** Materialise every present inbox — the bridge back to the map-shaped
-    contract, used by the generic {!route} dispatch and the differential
-    tests. Costs the full fan-out the lazy representation avoids. *)
-
-val route :
-  ?on_deliver:'m on_deliver ->
-  interner:Interner.t option ->
-  impl:impl ->
-  equal:('m -> 'm -> bool) ->
-  present:Node_id.Set.t ->
-  envelopes:'m Envelope.t list ->
-  unit ->
-  (Node_id.t * 'm) list Node_id.Map.t * int
-(** Dispatch on [impl]. [interner] only affects the [Indexed] core; the
-    reference core stays the untouched executable specification. [Arena]
-    routes through an ephemeral {!arena_state} and materialises the map —
-    use {!route_arena} directly to get the cross-round reuse. *)
+val view_rank : 'm view -> Node_id.t -> int option
+(** Position of [id] in {!view_present}, [None] when absent — an index
+    for per-recipient side tables such as fault-filtered inboxes. *)

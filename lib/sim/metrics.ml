@@ -59,8 +59,8 @@ let record_delivered t ~round n =
   | (r, c) :: rest when r = round -> t.per_round <- (r, c + n) :: rest
   | _ -> t.per_round <- (round, n) :: t.per_round
 
-let record_wire t ~round ~bits =
-  t.wire_msgs <- t.wire_msgs + 1;
+let record_wire t ~round ~count ~bits =
+  t.wire_msgs <- t.wire_msgs + count;
   t.wire_bits <- t.wire_bits + bits;
   match t.bits_per_round with
   | (r, acc) :: rest when r = round ->

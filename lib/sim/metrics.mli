@@ -51,8 +51,9 @@ val record_send : t -> byzantine:bool -> unit
 val record_kind : t -> string -> unit
 val record_delivered : t -> round:int -> int -> unit
 
-val record_wire : t -> round:int -> bits:int -> unit
-(** One message of the given size crossed the wire. *)
+val record_wire : t -> round:int -> count:int -> bits:int -> unit
+(** [count] messages totalling [bits] crossed the wire — one unicast, or
+    one broadcast accepted by [count] recipients. *)
 
 val record_round_time : t -> round:int -> float -> unit
 (** Wall-clock milliseconds the given round took. *)

@@ -29,31 +29,16 @@ module Make (P : Protocol.S) = struct
     | Join_correct of Node_id.t * P.input
     | Join_byzantine of Node_id.t * P.message Strategy.t
 
-  (* One routed round as the stepping loop consumes it. [Mapped] is the
-     historical shape (and the one fault filters rewrite); [Sliced] is the
-     engine-v3 cursor view, where each inbox stays a lazy (offset, length)
-     slice into the arena until the owning node is actually stepped — no
-     per-round Node_id.Map is ever built. *)
-  type inboxes =
-    | Mapped of (Node_id.t * P.message) list Node_id.Map.t
-    | Sliced of P.message Delivery.view
-
   type t = {
     rushing : bool;
-    delivery : Delivery.impl;
-    wire_accounting : bool;
-    arena : P.message Delivery.arena_state option;
-        (* engine-v3 cross-round state, allocated iff delivery = Arena *)
+    arena : P.message Delivery.arena_state;  (* cross-round routing state *)
     rng : Rng.t;
     faults : Ubpa_faults.plan;
     frng : Rng.t;
         (* Fault-plan decisions draw from their own stream so an empty plan
            leaves every existing random stream untouched, and a non-empty
-           one gives identical decisions on both delivery cores. *)
+           one draws in engine-determined orders only. *)
     tr : Trace.t;
-    intr : Interner.t;
-        (* per-network dense id table; every member id is interned at join
-           so the indexed delivery core can use array-addressed fan-out *)
     classify : (P.message -> string) option;
     stimulus : round:int -> Node_id.t -> P.stimulus list;
     metrics : Metrics.t;
@@ -66,28 +51,30 @@ module Make (P : Protocol.S) = struct
     mutable pending : P.message Envelope.t list; (* sent last round, reversed *)
     mutable dup_next : P.message Envelope.t list;
         (* envelopes duplicated by the fault plan, re-delivered next round *)
+    mutable routed :
+      (P.message Envelope.t list * P.message Delivery.view) option;
+        (* the last round's routing input (after link faults) and view *)
+    mutable filtered : (Node_id.t * P.message) list array option;
+        (* the last round's inboxes after receive faults, by present rank;
+           [None] on fault-free networks, which read the view directly *)
   }
 
   let no_stimulus ~round:_ _ = []
 
-  let create ?(rushing = true) ?(delivery = Delivery.Indexed)
-      ?(wire_accounting = true) ?(seed = 0xbadc0ffeeL)
+  let create ?(rushing = true) ?(seed = 0xbadc0ffeeL)
       ?(faults = Ubpa_faults.empty) ?(trace = Trace.disabled) ?classify
       ?(stimulus = no_stimulus) ~correct ~byzantine () =
     let t =
       {
         rushing;
-        delivery;
-        wire_accounting;
         arena =
-          (match delivery with
-          | Delivery.Arena -> Some (Delivery.arena_create ())
-          | _ -> None);
+          Delivery.arena_create
+            ~hint:(List.length correct + List.length byzantine)
+            ();
         rng = Rng.create seed;
         faults;
         frng = Rng.create (Int64.logxor seed 0x6661756c745eedL);
         tr = trace;
-        intr = Interner.create ();
         classify;
         stimulus;
         metrics = Metrics.create ();
@@ -99,6 +86,8 @@ module Make (P : Protocol.S) = struct
         queued_removals = Node_id.Set.empty;
         pending = [];
         dup_next = [];
+        routed = None;
+        filtered = None;
       }
     in
     let ids = List.map fst correct @ List.map fst byzantine in
@@ -126,7 +115,6 @@ module Make (P : Protocol.S) = struct
             then invalid_arg "Network: joining identifier already present";
             Trace.recordf t.tr ~round:t.round ~node:id ~kind:Trace.Join
               "join (correct)";
-            ignore (Interner.intern t.intr id);
             t.correct <-
               Node_id.Map.add id
                 {
@@ -144,7 +132,6 @@ module Make (P : Protocol.S) = struct
             then invalid_arg "Network: joining identifier already present";
             Trace.recordf t.tr ~round:t.round ~node:id ~kind:Trace.Join
               "join (byzantine %s)" (Strategy.name strat);
-            ignore (Interner.intern t.intr id);
             let act = Strategy.instantiate strat (Rng.split t.rng) id in
             t.byzantine <- Node_id.Map.add id { b_id = id; b_act = act } t.byzantine)
       (List.rev t.queued_joins);
@@ -200,12 +187,16 @@ module Make (P : Protocol.S) = struct
   let byzantine_ids t =
     Node_id.Map.fold (fun id _ acc -> id :: acc) t.byzantine [] |> List.rev
 
-  (* Deliver pending envelopes to the nodes present this round. Returns a map
-     from recipient to its inbox sorted by sender id. Duplicate
-     (sender, payload) pairs for the same recipient are dropped, with payload
-     equality decided by [P.equal_message]. *)
+  (* Route pending envelopes to the nodes present this round, leaving the
+     round's view in [t.routed]. Each inbox is sorted by sender id;
+     duplicate (sender, payload) pairs for the same recipient are dropped,
+     with payload equality decided by [P.equal_message]. *)
   let rec deliver t ~present =
     let faulty = not (Ubpa_faults.is_empty t.faults) in
+    (* Drop last round's routing input before building this one's, so at
+       most one round of envelopes is live. *)
+    t.routed <- None;
+    t.filtered <- None;
     let envelopes = List.rev t.pending in
     (* Link-level faults happen before routing: per-envelope loss drops the
        envelope for every recipient; duplication re-injects a copy into the
@@ -244,118 +235,107 @@ module Make (P : Protocol.S) = struct
         kept
       end
     in
-    (* Wire accounting fires at the cores' accept points: post-dedup (a
+    (* Wire accounting fires at the core's accept points: post-dedup (a
        suppressed duplicate never crossed the wire twice), pre
        receive-omission (the message was transmitted; the faulty receiver
-       dropped it afterwards). Both cores drive the same hook, so CX1's
-       cross-core wire-identity claim inherits the delivery-identity
-       guarantee. *)
+       dropped it afterwards). A unicast is charged per delivery; an
+       accepted broadcast is charged once, for all k of its recipients —
+       no per-recipient work at all. *)
     let kind_of =
       match t.classify with Some f -> f | None -> fun _ -> "msg"
     in
-    (* [?wire_accounting:false] disables the hook entirely: at n ≈ 10,000
-       the per-delivery hash updates dominate the round, and the SCALE
-       sweeps measure the engine, not the observer. With the hook off the
-       arena core never fans a broadcast out at all. *)
-    let on_deliver =
-      if not t.wire_accounting then None
-      else
-        Some
-          (fun ~recipient ~src payload ->
-            let bits = P.encoded_bits payload in
-            Ubpa_obs.Wire.record t.wire ~round:t.round ~sender:src ~recipient
-              ~kind:(kind_of payload) ~bits;
-            Metrics.record_wire t.metrics ~round:t.round ~bits)
+    let round = t.round in
+    let on_deliver ~recipient ~src payload =
+      let bits = P.encoded_bits payload in
+      Ubpa_obs.Wire.record t.wire ~round ~sender:src ~recipient
+        ~kind:(kind_of payload) ~bits;
+      Metrics.record_wire t.metrics ~round ~count:1 ~bits
     in
-    let inboxes, delivered =
-      match t.arena with
-      | Some state when not faulty ->
-          (* Cursor fast path: scan + seal, no map, no fan-out. Inboxes
-             are expanded one node at a time as the step loop reads them.
-             Fault plans fall through to the map path below so the
-             post-route filters (and their [frng] draw order) stay
-             byte-identical with the other cores. *)
-          let view =
-            Delivery.route_arena ?on_deliver ~state ~equal:P.equal_message
-              ~present ~envelopes ()
-          in
-          (Sliced view, Delivery.view_delivered view)
-      | Some state ->
-          let view =
-            Delivery.route_arena ?on_deliver ~state ~equal:P.equal_message
-              ~present ~envelopes ()
-          in
-          (Mapped (Delivery.view_to_map view), Delivery.view_delivered view)
-      | None ->
-          let inboxes, delivered =
-            Delivery.route ?on_deliver ~interner:(Some t.intr)
-              ~impl:t.delivery ~equal:P.equal_message ~present ~envelopes ()
-          in
-          (Mapped inboxes, delivered)
+    let on_broadcast ~src payload ~k ~excluded =
+      let bits = P.encoded_bits payload in
+      Ubpa_obs.Wire.record_broadcast t.wire ~round ~sender:src ~present
+        ~excluded ~kind:(kind_of payload) ~bits;
+      Metrics.record_wire t.metrics ~round ~count:k ~bits:(k * bits)
     in
-    (* Receive-omission is per recipient, after routing: a broadcast may be
-       lost at one victim and arrive everywhere else. *)
-    let inboxes, delivered =
-      if not faulty then (inboxes, delivered)
-      else
-        match inboxes with
-        | Sliced _ -> (inboxes, delivered) (* unreachable: faulty => Mapped *)
-        | Mapped mapped ->
-            let mapped, delivered = fault_filter t mapped delivered in
-            (Mapped mapped, delivered)
+    let view =
+      Delivery.route_arena ~on_deliver ~on_broadcast ~state:t.arena
+        ~equal:P.equal_message ~present ~envelopes ()
     in
-    Metrics.record_delivered t.metrics ~round:t.round delivered;
-    inboxes
+    t.routed <- Some (envelopes, view);
+    let delivered = Delivery.view_delivered view in
+    let delivered =
+      if faulty then delivered - fault_filter t view else delivered
+    in
+    Metrics.record_delivered t.metrics ~round delivered
 
-  and fault_filter t inboxes delivered =
-        let dropped = ref 0 in
-        let inboxes =
-          Node_id.Map.mapi
-            (fun dst inbox ->
-              let p =
-                Ubpa_faults.recv_omission_prob t.faults ~node:dst
-                  ~round:t.round
-              in
-              let inbox =
-                if p <= 0. then inbox
-                else
-                  List.filter
-                    (fun (src, payload) ->
-                      if Rng.float t.frng 1.0 < p then begin
-                        incr dropped;
-                        if Trace.enabled t.tr then
-                          Trace.recordf t.tr ~round:t.round ~node:dst
-                            ~kind:Trace.Fault
-                            "fault: recv-omission drop from %a: %a" Node_id.pp
-                            src P.pp_message payload;
-                        false
-                      end
-                      else true)
-                    inbox
-              in
-              (* A delayed envelope misses its delivery round; the
-                 synchronous engine has no late slot, so it is dropped.
-                 No randomness is drawn unless a delay window is active,
-                 keeping delay-free plans bit-reproducible. *)
-              match Ubpa_faults.delay_spec t.faults ~node:dst ~round:t.round with
-              | None -> inbox
-              | Some (dp, dr) ->
-                  List.filter
-                    (fun (src, payload) ->
-                      if Rng.float t.frng 1.0 < dp then begin
-                        incr dropped;
-                        if Trace.enabled t.tr then
-                          Trace.recordf t.tr ~round:t.round ~node:dst
-                            ~kind:Trace.Fault
-                            "fault: delay +%dr (missed its round) from %a: %a"
-                            dr Node_id.pp src P.pp_message payload;
-                        false
-                      end
-                      else true)
-                    inbox)
-            inboxes
-        in
-        (inboxes, delivered - !dropped)
+  (* Receive-side faults are per recipient, after routing: a broadcast may
+     be lost at one victim and arrive everywhere else. Inboxes are
+     filtered in ascending recipient order — the order every [frng] draw
+     has always been made in — and stored by present rank. Returns the
+     number of deliveries dropped. *)
+  and fault_filter t view =
+    let dropped = ref 0 in
+    let filter dst inbox =
+      let p =
+        Ubpa_faults.recv_omission_prob t.faults ~node:dst ~round:t.round
+      in
+      let inbox =
+        if p <= 0. then inbox
+        else
+          List.filter
+            (fun (src, payload) ->
+              if Rng.float t.frng 1.0 < p then begin
+                incr dropped;
+                if Trace.enabled t.tr then
+                  Trace.recordf t.tr ~round:t.round ~node:dst
+                    ~kind:Trace.Fault "fault: recv-omission drop from %a: %a"
+                    Node_id.pp src P.pp_message payload;
+                false
+              end
+              else true)
+            inbox
+      in
+      (* A delayed envelope misses its delivery round; the synchronous
+         engine has no late slot, so it is dropped. No randomness is
+         drawn unless a delay window is active, keeping delay-free plans
+         bit-reproducible. *)
+      match Ubpa_faults.delay_spec t.faults ~node:dst ~round:t.round with
+      | None -> inbox
+      | Some (dp, dr) ->
+          List.filter
+            (fun (src, payload) ->
+              if Rng.float t.frng 1.0 < dp then begin
+                incr dropped;
+                if Trace.enabled t.tr then
+                  Trace.recordf t.tr ~round:t.round ~node:dst
+                    ~kind:Trace.Fault
+                    "fault: delay +%dr (missed its round) from %a: %a" dr
+                    Node_id.pp src P.pp_message payload;
+                false
+              end
+              else true)
+            inbox
+    in
+    t.filtered <-
+      Some
+        (Array.of_list
+           (List.map
+              (fun dst -> filter dst (Delivery.view_inbox view dst))
+              (Delivery.view_present view)));
+    !dropped
+
+  let inbox t id =
+    match t.routed with
+    | None -> []
+    | Some (_, view) -> (
+        match t.filtered with
+        | None -> Delivery.view_inbox view id
+        | Some by_rank -> (
+            match Delivery.view_rank view id with
+            | Some k -> by_rank.(k)
+            | None -> []))
+
+  let routed t = t.routed
 
   let step_round_untimed t =
     t.round <- t.round + 1;
@@ -367,13 +347,8 @@ module Make (P : Protocol.S) = struct
         (Node_id.Set.of_list (active_correct t))
         (Node_id.Set.of_list (byzantine_ids t))
     in
-    let inboxes = deliver t ~present in
-    let inbox_of id =
-      match inboxes with
-      | Mapped m -> (
-          match Node_id.Map.find_opt id m with Some l -> l | None -> [])
-      | Sliced view -> Delivery.view_inbox view id
-    in
+    deliver t ~present;
+    let inbox_of = inbox t in
     (* Correct nodes first (their sends feed the rushing adversary). *)
     let correct_sends = ref [] in
     let faulty = not (Ubpa_faults.is_empty t.faults) in

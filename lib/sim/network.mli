@@ -33,8 +33,6 @@ module Make (P : Protocol.S) : sig
 
   val create :
     ?rushing:bool ->
-    ?delivery:Delivery.impl ->
-    ?wire_accounting:bool ->
     ?seed:int64 ->
     ?faults:Ubpa_faults.plan ->
     ?trace:Trace.t ->
@@ -45,25 +43,19 @@ module Make (P : Protocol.S) : sig
     unit ->
     t
   (** All listed nodes join in round 1. Identifiers must be distinct across
-      both lists. [delivery] selects the delivery core (default
-      {!Delivery.Indexed}; {!Delivery.Naive} keeps the seed engine's
-      list-scan core — same results, slower — for differential testing and
-      head-to-head benchmarks; {!Delivery.Arena} is the engine-v3 arena
-      core, which feeds the round loop through lazy inbox slices instead
-      of a per-round map when the fault plan is empty).
-      [wire_accounting] (default [true]) controls the per-delivery
-      {!Ubpa_obs.Wire} hook; switching it off leaves {!wire} empty and
-      lets the arena core keep broadcasts O(1) instead of fanning out for
-      the observer — the n ≈ 10,000 SCALE sweeps run with it off.
+      both lists. Every round is routed by the arena core
+      ({!Delivery.route_arena}), whose inboxes stay lazy slices until the
+      owning node is stepped, and whose accept points feed {!wire}.
       [faults] (default {!Ubpa_faults.empty})
       injects benign faults into correct nodes at the delivery boundary:
       crashed/left nodes are absent from the present set (they neither
       step nor receive, state kept for recovery), send/receive omission
       and per-envelope loss/duplication drop or re-deliver envelopes, and
       every injected fault is recorded as a {!Trace.Fault} event. The
-      plan's random decisions come from a dedicated stream, so an empty
-      plan is byte-identical to no plan and a non-empty plan makes the
-      same decisions on both delivery cores. *)
+      plan's random decisions come from a dedicated stream, drawn in
+      engine-determined orders only (receive faults in ascending
+      recipient order), so an empty plan is byte-identical to no plan and
+      a given plan and seed always make the same decisions. *)
 
   (** {2 Dynamic membership} *)
 
@@ -117,12 +109,20 @@ module Make (P : Protocol.S) : sig
 
   val wire : t -> Ubpa_obs.Wire.t
   (** Wire-level accounting: per-node / per-round / per-kind message and
-      bit counters, recorded at the delivery cores' accept points
-      (post-dedup, pre receive-omission — see {!Ubpa_obs.Wire}). Message
+      bit counters, recorded at the delivery core's accept points
+      (post-dedup, pre receive-omission — see {!Ubpa_obs.Wire}); each
+      accepted broadcast is charged once, for all its recipients. Message
       sizes come from the protocol's [encoded_bits]; kinds from
       [classify] (["msg"] when none was given). *)
 
   val trace : t -> Trace.t
+
+  val routed :
+    t -> (P.message Envelope.t list * P.message Delivery.view) option
+  (** The last executed round's routed envelopes (after link faults, in
+      send order) and view (inboxes before receive faults), valid until
+      the next {!step_round} — what the reference oracle
+      ({!Ubpa_harness.Harness.Make.check_reference}) re-routes. *)
 
   val correct_ids : t -> Node_id.t list
   (** Every correct node that ever joined, ascending. *)

@@ -80,7 +80,6 @@ module Make (P : Protocol.S) = struct
           })
         (List.sort (fun (a, _) (b, _) -> Node_id.compare a b) sc.sc_nodes)
     in
-    let intr = Interner.create () in
     let wire = Ubpa_obs.Wire.create () in
     let divergence = ref None in
     let diverge ~round ?node what =
@@ -155,9 +154,8 @@ module Make (P : Protocol.S) = struct
                 ~kind:"msg" ~bits:(P.encoded_bits payload)
           in
           let inboxes, _delivered =
-            Delivery.route ~on_deliver ~interner:(Some intr)
-              ~impl:Delivery.Indexed ~equal:P.equal_message ~present
-              ~envelopes:(List.rev !pending) ()
+            Delivery.route_reference ~on_deliver ~equal:P.equal_message
+              ~present ~envelopes:(List.rev !pending) ()
           in
           pending := [];
           List.iter

@@ -23,9 +23,9 @@ let grow t =
 
 let intern t id =
   let raw = Node_id.to_int id in
-  match Hashtbl.find_opt t.tbl raw with
-  | Some ix -> ix
-  | None ->
+  match Hashtbl.find t.tbl raw with
+  | ix -> ix
+  | exception Not_found ->
       let ix = t.size in
       Hashtbl.add t.tbl raw ix;
       grow t;

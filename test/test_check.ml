@@ -144,8 +144,8 @@ let engine_side ~max_rounds ~correct ~victim =
   let mon = monitor ~victim in
   let plan = F.make [ (victim, [ F.crash ~at:crash_round () ]) ] in
   let o =
-    H.execute ~seed:7L ~delivery:Ubpa_sim.Delivery.Naive ~faults:plan
-      ~monitor:mon ~max_rounds ~correct ~byzantine:[] ()
+    H.execute ~seed:7L ~faults:plan ~monitor:mon ~max_rounds ~correct
+      ~byzantine:[] ()
   in
   let states =
     H.Net.states o.H.net

@@ -153,7 +153,8 @@ let test_sampling_identical_across_jobs () =
    unicasts (inner consensus at k ≈ 2√n fan-out, reports at √n·log n
    fan-out) — a shape the original differential's uniform random traffic
    underweights. Generate exactly that shape from real samples and
-   require all three cores to agree on inboxes and wire counters. *)
+   require the arena and reference cores to agree on inboxes and wire
+   counters. *)
 let committee_traffic rng =
   let n = 20 + Rng.int rng 60 in
   let seed = Rng.int64 rng in
@@ -184,41 +185,27 @@ let committee_traffic rng =
   in
   (present, inner @ reports)
 
-let wire_of routefn ~present ~envelopes =
-  let w = Ubpa_obs.Wire.create () in
-  let on_deliver ~recipient ~src payload =
-    Ubpa_obs.Wire.record w ~round:1 ~sender:src ~recipient
-      ~kind:(if payload >= 100 then "report" else "inner")
-      ~bits:(Ubpa_obs.Sizing.structural_bits payload)
-  in
-  let inboxes, count = routefn ~on_deliver ~present ~envelopes in
-  (inboxes, count, w)
-
 let prop_sparse_fanout_cross_core =
   QCheck2.Test.make ~count:80
-    ~name:"sparse committee fan-out: arena == indexed == reference"
+    ~name:"sparse committee fan-out: arena == reference"
     QCheck2.Gen.(int_range 1 100_000)
     (fun qseed ->
       let rng = Rng.create (Int64.of_int qseed) in
       let present, envelopes = committee_traffic rng in
-      let route impl ~on_deliver ~present ~envelopes =
-        Delivery.route ~on_deliver ~interner:None ~impl ~equal:Int.equal
+      let kind payload = if payload >= 100 then "report" else "inner" in
+      let bits = Ubpa_obs.Sizing.structural_bits in
+      let w_ref = Ubpa_obs.Wire.create () and w = Ubpa_obs.Wire.create () in
+      let i_ref, c_ref =
+        reference_round ~wire:w_ref ~round:1 ~kind ~bits ~equal:Int.equal
           ~present ~envelopes ()
       in
-      let i_ref, c_ref, w_ref =
-        wire_of
-          (fun ~on_deliver ~present ~envelopes ->
-            Delivery.route_reference ~on_deliver ~equal:Int.equal ~present
-              ~envelopes ())
-          ~present ~envelopes
+      let i, c =
+        arena_round ~wire:w ~round:1 ~kind ~bits ~equal:Int.equal ~present
+          ~envelopes ()
       in
-      List.for_all
-        (fun impl ->
-          let i, c, w = wire_of (route impl) ~present ~envelopes in
-          c = c_ref
-          && Node_id.Map.equal ( = ) i i_ref
-          && Ubpa_obs.Wire.equal w w_ref)
-        [ Delivery.Indexed; Delivery.Arena ])
+      c = c_ref
+      && Node_id.Map.equal ( = ) i i_ref
+      && Ubpa_obs.Wire.equal w w_ref)
 
 (* ----- protocol end-to-end ----- *)
 
@@ -279,19 +266,22 @@ let test_inner_split_attack () =
   check_green "inner split" s
 
 let test_cores_agree_end_to_end () =
-  (* The same run on the indexed and arena cores must produce identical
-     outputs, rounds and wire counters — CX1's identity claim at the
-     committee protocol's fan-out shape, end to end. *)
-  let run delivery =
-    C.run ~seed:27L ~delivery ~n_correct:50
+  (* Every round of the run re-routed through the reference core must
+     match inbox for inbox, with identical deliveries and wire counters —
+     CX1's identity claim at the committee protocol's fan-out shape, end
+     to end. *)
+  let module R = Ubpa_harness.Harness.Reference in
+  let oracle = R.create () in
+  let s =
+    C.run ~seed:27L ~reference:oracle ~n_correct:50
       ~byz:[ C.Attacks.silent_member; C.Attacks.report_flood 5 ]
       ~inputs:binary_split ()
   in
-  let a = run Delivery.Indexed and b = run Delivery.Arena in
-  check_true "same outputs" (a.C.outputs = b.C.outputs);
-  check_int "same rounds" a.C.rounds b.C.rounds;
-  check_int "same delivered" a.C.delivered_msgs b.C.delivered_msgs;
-  check_int "same max budget bits" a.C.max_budget_bits b.C.max_budget_bits
+  check_true "ran to agreement" s.C.agreed;
+  Alcotest.(check (option string)) "no divergence" None (R.divergence oracle);
+  check_int "every round checked" s.C.rounds (R.rounds oracle);
+  check_int "same delivered" (R.delivered oracle) s.C.delivered_msgs;
+  check_true "same wire counters" (Ubpa_obs.Wire.equal (R.wire oracle) s.C.wire)
 
 let test_budget_is_subquadratic () =
   (* Not the gated envelope (that is CX2's job over a real sweep) — just
@@ -325,7 +315,7 @@ let suite =
         test_report_flood_attack;
       quick "protocol: inner split-world through the overlay"
         test_inner_split_attack;
-      quick "protocol: indexed and arena cores byte-identical"
+      quick "protocol: arena core matches the reference oracle"
         test_cores_agree_end_to_end;
       quick "protocol: per-node budget qualitatively sparse"
         test_budget_is_subquadratic;

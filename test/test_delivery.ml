@@ -1,47 +1,21 @@
-(* Delivery cores: differential tests against the seed core.
+(* Delivery: the arena core against the reference core.
 
    [Delivery.route_reference] is the seed engine's list-scan delivery kept
    verbatim as an executable specification; these tests replay randomized
-   traffic through it, [Delivery.route_indexed] (engine v2, sparse and
-   dense) and [Delivery.route_arena] (engine v3) and require bit-for-bit
-   identical inboxes, delivery counts and wire counters, then repeat the
-   comparison at the network level with full protocol runs under all
-   cores. *)
+   traffic through it and through [Delivery.route_arena], the engine, and
+   require bit-for-bit identical inboxes, delivery counts and wire
+   counters (the arena side charged once per broadcast, the reference
+   side per delivery), then repeat the comparison at the network level,
+   re-routing every round of full protocol runs through the reference
+   core. *)
 
 open Ubpa_util
 open Ubpa_sim
+open Helpers
 
 let id i = Node_id.of_int i
 
-(* ----- randomized traffic through both cores ----- *)
-
-(* One round's worth of traffic: a universe of nodes of which a random
-   subset is present (models halted / not-yet-joined recipients), unicasts
-   and broadcasts in random proportion, with deliberate duplicate sends —
-   same (sender, payload) repeated as broadcast, as unicast, and as a
-   broadcast/unicast mix. *)
-let random_traffic rng =
-  let universe = 2 + Rng.int rng 9 in
-  let ids = List.init universe id in
-  let present =
-    List.filter (fun _ -> Rng.int rng 4 > 0) ids |> Node_id.Set.of_list
-  in
-  let n_msgs = Rng.int rng 60 in
-  let envelopes =
-    List.concat_map
-      (fun _ ->
-        let src = Rng.pick rng ids in
-        (* Small payload space so duplicates are common. *)
-        let payload = Rng.int rng 5 in
-        let env =
-          if Rng.bool rng then Envelope.broadcast ~src payload
-          else Envelope.send ~src ~dst:(Rng.pick rng ids) payload
-        in
-        (* Occasionally send the exact same envelope again back to back. *)
-        if Rng.int rng 4 = 0 then [ env; env ] else [ env ])
-      (List.init n_msgs Fun.id)
-  in
-  (present, envelopes)
+(* ----- randomized traffic through the arena and reference cores ----- *)
 
 let same_inboxes a b =
   Node_id.Map.equal
@@ -52,63 +26,32 @@ let same_inboxes a b =
            a b)
     a b
 
-(* Run one core with a wire observer attached at its accept point; the
-   [Wire.equal] comparison below is multiset-shaped (per round, recipient
-   and kind), which is exactly the cross-core guarantee — cores may visit
-   a broadcast's recipients in different orders. *)
-let with_wire core ~present ~envelopes =
-  let wire = Ubpa_obs.Wire.create () in
-  let on_deliver ~recipient ~src payload =
-    Ubpa_obs.Wire.record wire ~round:1 ~sender:src ~recipient ~kind:"m"
-      ~bits:(16 + (8 * payload))
-  in
-  let inboxes, count = core ~on_deliver ~present ~envelopes in
-  (inboxes, count, wire)
+(* Run both cores with wire observers attached at their accept points
+   and require identical inboxes, counts and wire counters. [Wire.equal]
+   is multiset-shaped (per round, node and kind), which is exactly the
+   guarantee — the reference core charges a broadcast recipient by
+   recipient, the arena core once for all of them. *)
+let kind _ = "m"
+let bits payload = 16 + (8 * payload)
 
-let cores :
-    (string
-    * (on_deliver:int Delivery.on_deliver ->
-      present:Node_id.Set.t ->
-      envelopes:int Envelope.t list ->
-      (Node_id.t * int) list Node_id.Map.t * int))
-    list =
-  [
-    ( "indexed-sparse",
-      fun ~on_deliver ~present ~envelopes ->
-        Delivery.route_indexed ~on_deliver ~interner:None ~equal:Int.equal
-          ~present ~envelopes () );
-    ( "indexed-dense",
-      fun ~on_deliver ~present ~envelopes ->
-        Delivery.route_indexed ~on_deliver
-          ~interner:(Some (Interner.create ()))
-          ~equal:Int.equal ~present ~envelopes () );
-    ( "arena",
-      fun ~on_deliver ~present ~envelopes ->
-        Delivery.route ~on_deliver ~interner:None ~impl:Delivery.Arena
-          ~equal:Int.equal ~present ~envelopes () );
-  ]
+let matches_reference ~present ~envelopes =
+  let ref_wire = Ubpa_obs.Wire.create () and wire = Ubpa_obs.Wire.create () in
+  let ref_inboxes, ref_count =
+    reference_round ~wire:ref_wire ~round:1 ~kind ~bits ~equal:Int.equal
+      ~present ~envelopes ()
+  in
+  let inboxes, count =
+    arena_round ~wire ~round:1 ~kind ~bits ~equal:Int.equal ~present
+      ~envelopes ()
+  in
+  count = ref_count
+  && same_inboxes ref_inboxes inboxes
+  && Ubpa_obs.Wire.equal ref_wire wire
 
 let check_same ~present ~envelopes =
-  let ref_inboxes, ref_count, ref_wire =
-    with_wire
-      (fun ~on_deliver ~present ~envelopes ->
-        Delivery.route_reference ~on_deliver ~equal:Int.equal ~present
-          ~envelopes ())
-      ~present ~envelopes
-  in
-  List.iter
-    (fun (name, core) ->
-      let inboxes, count, wire = with_wire core ~present ~envelopes in
-      Alcotest.(check int) (name ^ ": delivered count") ref_count count;
-      Alcotest.(check bool)
-        (name ^ ": inboxes identical")
-        true
-        (same_inboxes ref_inboxes inboxes);
-      Alcotest.(check bool)
-        (name ^ ": wire counters identical")
-        true
-        (Ubpa_obs.Wire.equal ref_wire wire))
-    cores
+  Alcotest.(check bool)
+    "count, inboxes and wire counters match the reference" true
+    (matches_reference ~present ~envelopes)
 
 let test_differential_random () =
   let rng = Rng.create 0xD311FEA7L in
@@ -153,20 +96,20 @@ let test_inbox_order () =
       Envelope.broadcast ~src:(id 1) 11;
     ]
   in
-  let inboxes, _ =
-    Delivery.route_indexed ~interner:None ~equal:Int.equal ~present ~envelopes
-      ()
+  let view =
+    Delivery.route_arena ~state:(Delivery.arena_create ()) ~equal:Int.equal
+      ~present ~envelopes ()
   in
   Alcotest.(check (list (pair int int)))
     "sender-sorted, send order within sender"
     [ (1, 10); (1, 11); (2, 20); (2, 21) ]
     (List.map
        (fun (s, p) -> (Node_id.to_int s, p))
-       (Node_id.Map.find (id 0) inboxes))
+       (Delivery.view_inbox view (id 0)))
 
-(* ----- engine v3: reused arena state and lazy views ----- *)
+(* ----- reused arena state and lazy views ----- *)
 
-(* The arena state is the whole point of engine v3: one grow-only
+(* The arena state is the whole point of the engine: one grow-only
    structure fed round after round, presence changing under it, with every
    round's view still matching the reference core on fresh state. This is
    the test that would catch stale-round leakage (marks, slices or dedup
@@ -187,7 +130,7 @@ let test_arena_state_reuse () =
       (Delivery.view_delivered view);
     Alcotest.(check bool)
       "reused state: inboxes" true
-      (same_inboxes ref_inboxes (Delivery.view_to_map view));
+      (same_inboxes ref_inboxes (view_map view));
     (* Lazy reads agree with the materialised map, including nodes that
        are unknown or absent this round. *)
     Node_id.Map.iter
@@ -212,7 +155,7 @@ let test_arena_state_reuse () =
 
 (* QCheck differential: structured random batches — unicasts, broadcasts,
    back-to-back duplicates, absent recipients, absent senders — through
-   the arena core against both the reference and the indexed cores. *)
+   the arena core against the reference core. *)
 let gen_batch =
   QCheck2.Gen.(
     let* universe = int_range 2 9 in
@@ -227,7 +170,7 @@ let gen_batch =
 
 let prop_arena_differential =
   QCheck2.Test.make ~count:300
-    ~name:"arena vs reference vs indexed on random envelope batches"
+    ~name:"arena vs reference on random envelope batches"
     gen_batch
     (fun (universe, present_mask, msgs) ->
       let present =
@@ -249,119 +192,69 @@ let prop_arena_differential =
                if i mod 3 = 0 then [ env; env ] else [ env ])
              msgs)
       in
-      let ref_inboxes, ref_count, ref_wire =
-        with_wire
-          (fun ~on_deliver ~present ~envelopes ->
-            Delivery.route_reference ~on_deliver ~equal:Int.equal ~present
-              ~envelopes ())
-          ~present ~envelopes
-      in
-      List.for_all
-        (fun (_, core) ->
-          let inboxes, count, wire = with_wire core ~present ~envelopes in
-          count = ref_count
-          && same_inboxes ref_inboxes inboxes
-          && Ubpa_obs.Wire.equal ref_wire wire)
-        cores)
+      matches_reference ~present ~envelopes)
 
-(* ----- full protocol runs under both engines ----- *)
+(* ----- full protocol runs, every round checked by the oracle ----- *)
 
 module C = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
-module Net = Network.Make (C)
+module H = Ubpa_harness.Harness.Make (C)
+module Net = H.Net
 module A = Ubpa_adversary.Consensus_attacks.Make (Unknown_ba.Value.Int)
 
-let consensus_run ~delivery =
+(* The split-world consensus run every network-level test uses, with
+   each round re-routed through the reference core as it executes. *)
+let checked_run ?faults ?trace () =
   let ids = Node_id.scatter ~seed:41L 10 in
   let correct_ids = List.filteri (fun i _ -> i < 8) ids in
   let byz_ids = List.filteri (fun i _ -> i >= 8) ids in
   let net =
-    Net.create ~delivery
+    Net.create ~seed:17L ?faults ?trace
       ~correct:(List.mapi (fun i nid -> (nid, i mod 2)) correct_ids)
       ~byzantine:(List.map (fun nid -> (nid, A.split_world 0 1)) byz_ids)
       ()
   in
-  let finished = Net.run ~max_rounds:300 net in
-  (finished, Net.round net, Metrics.delivered (Net.metrics net),
-   Net.outputs net)
+  let oracle = Ubpa_harness.Harness.Reference.create () in
+  while (not (Net.all_halted net)) && Net.round net < 300 do
+    Net.step_round net;
+    H.check_reference oracle net
+  done;
+  (net, oracle)
 
 let test_engine_equivalence () =
-  let f1, r1, d1, o1 = consensus_run ~delivery:Delivery.Indexed in
-  let f2, r2, d2, o2 = consensus_run ~delivery:Delivery.Naive in
-  let f3, r3, d3, o3 = consensus_run ~delivery:Delivery.Arena in
+  let net, oracle = checked_run () in
+  let module R = Ubpa_harness.Harness.Reference in
+  Alcotest.(check bool) "all halted" true (Net.all_halted net);
+  Alcotest.(check (option string)) "no divergence" None (R.divergence oracle);
+  Alcotest.(check int) "every round checked" (Net.round net) (R.rounds oracle);
+  Alcotest.(check int)
+    "same deliveries" (R.delivered oracle)
+    (Metrics.delivered (Net.metrics net));
   Alcotest.(check bool)
-    "all halted" true
-    (f1 = `All_halted && f2 = `All_halted && f3 = `All_halted);
-  Alcotest.(check int) "same rounds" r2 r1;
-  Alcotest.(check int) "same deliveries" d2 d1;
-  Alcotest.(check (list (pair int int)))
-    "same decisions"
-    (List.map (fun (nid, v) -> (Node_id.to_int nid, v)) o2)
-    (List.map (fun (nid, v) -> (Node_id.to_int nid, v)) o1);
-  Alcotest.(check int) "arena: same rounds" r2 r3;
-  Alcotest.(check int) "arena: same deliveries" d2 d3;
-  Alcotest.(check (list (pair int int)))
-    "arena: same decisions"
-    (List.map (fun (nid, v) -> (Node_id.to_int nid, v)) o2)
-    (List.map (fun (nid, v) -> (Node_id.to_int nid, v)) o3)
+    "per-broadcast wire = per-delivery wire" true
+    (Ubpa_obs.Wire.equal (R.wire oracle) (Net.wire net))
 
-(* [wire_accounting:false] must change what is observed, never what
-   happens: same run, empty wire log, delivered metrics intact. *)
-let test_wire_accounting_off () =
-  let run ~delivery ~wire_accounting =
-    let ids = Node_id.scatter ~seed:41L 10 in
-    let correct_ids = List.filteri (fun i _ -> i < 8) ids in
-    let byz_ids = List.filteri (fun i _ -> i >= 8) ids in
-    let net =
-      Net.create ~delivery ~wire_accounting
-        ~correct:(List.mapi (fun i nid -> (nid, i mod 2)) correct_ids)
-        ~byzantine:(List.map (fun nid -> (nid, A.split_world 0 1)) byz_ids)
-        ()
-    in
-    ignore (Net.run ~max_rounds:300 net);
-    ( Net.round net,
-      Metrics.delivered (Net.metrics net),
-      Ubpa_obs.Wire.messages (Net.wire net),
-      Net.outputs net )
-  in
-  List.iter
-    (fun delivery ->
-      let r_on, d_on, w_on, o_on = run ~delivery ~wire_accounting:true in
-      let r_off, d_off, w_off, o_off = run ~delivery ~wire_accounting:false in
-      Alcotest.(check int) "same rounds" r_on r_off;
-      Alcotest.(check int) "same delivered metric" d_on d_off;
-      Alcotest.(check bool) "wire recorded when on" true (w_on > 0);
-      Alcotest.(check int) "wire silent when off" 0 w_off;
-      Alcotest.(check bool) "same outputs" true (o_on = o_off))
-    [ Delivery.Indexed; Delivery.Arena ]
-
-(* ----- trace-level determinism across cores ----- *)
+(* ----- trace-level determinism ----- *)
 
 (* Stronger than outcome equivalence: the same seed must yield the same
-   execution event for event, so the JSONL traces are byte-identical —
-   including every fault decision when a plan is active, since the fault
-   stream is keyed to engine-determined orders only. *)
-let traced_jsonl ~delivery ?faults () =
-  let ids = Node_id.scatter ~seed:41L 10 in
-  let correct_ids = List.filteri (fun i _ -> i < 8) ids in
-  let byz_ids = List.filteri (fun i _ -> i >= 8) ids in
+   execution event for event. Every core the simulator has shipped —
+   the reference core included — produced these exact JSONL traces (MD5
+   and length pinned below), so a routing or fault-path change that
+   moves one event, or one fault-stream draw, fails here; the oracle
+   meanwhile checks each round's routing against the reference core. *)
+let traced_jsonl ?faults () =
   let trace = Trace.create () in
-  let net =
-    Net.create ~delivery ~seed:17L ?faults ~trace
-      ~correct:(List.mapi (fun i nid -> (nid, i mod 2)) correct_ids)
-      ~byzantine:(List.map (fun nid -> (nid, A.split_world 0 1)) byz_ids)
-      ()
-  in
-  ignore (Net.run ~max_rounds:300 net);
-  Trace.to_jsonl trace
+  let _, oracle = checked_run ?faults ~trace () in
+  Alcotest.(check (option string))
+    "routing matches the reference core" None
+    (Ubpa_harness.Harness.Reference.divergence oracle);
+  let jsonl = Trace.to_jsonl trace in
+  (Digest.to_hex (Digest.string jsonl), String.length jsonl)
 
 let test_trace_determinism () =
-  let reference = traced_jsonl ~delivery:Delivery.Naive () in
-  Alcotest.(check string)
-    "no faults: byte-identical JSONL" reference
-    (traced_jsonl ~delivery:Delivery.Indexed ());
-  Alcotest.(check string)
-    "no faults: arena byte-identical JSONL" reference
-    (traced_jsonl ~delivery:Delivery.Arena ());
+  Alcotest.(check (pair string int))
+    "no faults: byte-identical JSONL"
+    ("57c905842a0648147f662a267b643d66", 34800)
+    (traced_jsonl ());
   let ids = Node_id.scatter ~seed:41L 10 in
   let faults =
     Ubpa_faults.make ~loss:0.15 ~dup:0.1
@@ -373,16 +266,12 @@ let test_trace_determinism () =
           [ Ubpa_faults.recv_omission ~first:2 ~last:8 ~prob:0.5 () ] );
       ]
   in
-  let reference = traced_jsonl ~delivery:Delivery.Naive ~faults () in
-  Alcotest.(check string)
-    "fault plan: byte-identical JSONL" reference
-    (traced_jsonl ~delivery:Delivery.Indexed ~faults ());
-  (* Fault plans push the arena core onto the materialised-map path, so
-     the post-route filters draw from the fault stream in the exact same
-     order — the trace must stay byte-identical there too. *)
-  Alcotest.(check string)
-    "fault plan: arena byte-identical JSONL" reference
-    (traced_jsonl ~delivery:Delivery.Arena ~faults ())
+  (* Receive faults filter the arena view in ascending recipient order,
+     so the fault stream is drawn exactly as it always was. *)
+  Alcotest.(check (pair string int))
+    "fault plan: byte-identical JSONL"
+    ("a7269d47d51b9d98b6588859814e65a2", 65082)
+    (traced_jsonl ~faults ())
 
 (* ----- zero-correct-node networks ----- *)
 
@@ -437,8 +326,6 @@ let suite =
         test_arena_state_reuse;
       Alcotest.test_case "engine equivalence: full consensus run" `Quick
         test_engine_equivalence;
-      Alcotest.test_case "wire accounting off: same run, silent wire" `Quick
-        test_wire_accounting_off;
       Alcotest.test_case "trace determinism across cores (with faults)" `Quick
         test_trace_determinism;
       Alcotest.test_case "run on zero-correct network" `Quick

@@ -127,78 +127,126 @@ let test_fit_json_roundtrip () =
 (* ----- cross-core wire differential ----- *)
 
 (* Same randomized traffic shape as the delivery differential, but the
-   property under test is the on_deliver stream: both cores must report
-   the identical wire multiset — totals, per round, per node, per kind. *)
-let random_traffic rng =
-  let universe = 2 + Rng.int rng 9 in
-  let ids = List.init universe id in
-  let present =
-    List.filter (fun _ -> Rng.int rng 4 > 0) ids |> Node_id.Set.of_list
-  in
-  let n_msgs = Rng.int rng 60 in
-  let envelopes =
-    List.concat_map
-      (fun _ ->
-        let src = Rng.pick rng ids in
-        let payload = Rng.int rng 5 in
-        let env =
-          if Rng.bool rng then Envelope.broadcast ~src payload
-          else Envelope.send ~src ~dst:(Rng.pick rng ids) payload
-        in
-        if Rng.int rng 4 = 0 then [ env; env ] else [ env ])
-      (List.init n_msgs Fun.id)
-  in
-  (present, envelopes)
-
-let wire_of_route routefn ~present ~envelopes =
-  let w = Wire.create () in
-  let on_deliver ~recipient ~src payload =
-    Wire.record w ~round:1 ~sender:src ~recipient
-      ~kind:(Printf.sprintf "k%d" (payload mod 3))
-      ~bits:(Sizing.structural_bits payload)
-  in
-  let _, count = routefn ~on_deliver ~present ~envelopes in
-  (w, count)
+   property under test is the accounting: the arena core's hooks, charged
+   the way the network charges them, must report the identical wire
+   multiset — totals, per round, per node, per sender, per kind — as the
+   reference core's per-delivery stream. *)
+let kind_of payload = Printf.sprintf "k%d" (payload mod 3)
 
 let prop_wire_cross_core_identity =
   QCheck2.Test.make ~count:120
-    ~name:"wire counters: indexed core == reference core on random traffic"
+    ~name:"wire counters: arena core == reference core on random traffic"
     QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let rng = Rng.create (Int64.of_int seed) in
       let present, envelopes = random_traffic rng in
-      let w_ref, c_ref =
-        wire_of_route
-          (fun ~on_deliver ~present ~envelopes ->
-            Delivery.route_reference ~on_deliver ~equal:Int.equal ~present
-              ~envelopes ())
-          ~present ~envelopes
+      let w_ref = Wire.create () and w = Wire.create () in
+      let _, c_ref =
+        reference_round ~wire:w_ref ~round:1 ~kind:kind_of
+          ~bits:Sizing.structural_bits ~equal:Int.equal ~present ~envelopes ()
       in
-      let w_idx, c_idx =
-        wire_of_route
-          (fun ~on_deliver ~present ~envelopes ->
-            Delivery.route_indexed ~on_deliver ~interner:None ~equal:Int.equal
-              ~present ~envelopes ())
-          ~present ~envelopes
+      let _, c =
+        arena_round ~wire:w ~round:1 ~kind:kind_of ~bits:Sizing.structural_bits
+          ~equal:Int.equal ~present ~envelopes ()
       in
-      c_ref = c_idx
-      && Wire.equal w_ref w_idx
-      && Wire.messages w_ref = c_ref)
+      c_ref = c && Wire.equal w_ref w && Wire.messages w_ref = c_ref)
 
 let test_on_deliver_matches_count () =
-  (* The hook fires exactly once per counted delivery. *)
+  (* The hooks account exactly the counted deliveries: the reference
+     core's [on_deliver] once per delivery, the arena core's once per
+     unicast plus [k] per broadcast. *)
   let rng = Rng.create 0xB17C0DEL in
   for _ = 1 to 25 do
     let present, envelopes = random_traffic rng in
-    let w, count =
-      wire_of_route
-        (fun ~on_deliver ~present ~envelopes ->
-          Delivery.route ~on_deliver ~interner:None ~impl:Delivery.Indexed
-            ~equal:Int.equal ~present ~envelopes ())
-        ~present ~envelopes
+    let w_ref = Wire.create () and w = Wire.create () in
+    let _, c_ref =
+      reference_round ~wire:w_ref ~round:1 ~kind:kind_of
+        ~bits:Sizing.structural_bits ~equal:Int.equal ~present ~envelopes ()
     in
-    check_int "hook fired once per delivery" count (Wire.messages w)
+    let _, c =
+      arena_round ~wire:w ~round:1 ~kind:kind_of ~bits:Sizing.structural_bits
+        ~equal:Int.equal ~present ~envelopes ()
+    in
+    check_int "reference hook fired once per delivery" c_ref
+      (Wire.messages w_ref);
+    check_int "arena hooks account every delivery" c (Wire.messages w)
   done
+
+(* Once-per-broadcast accounting against a per-delivery replay, on the
+   shapes where the two could part: the same sender broadcasting one
+   payload twice, a unicast followed by an equal broadcast (the broadcast
+   excludes the served recipient), and a broadcast followed by an equal
+   unicast (suppressed). Several rounds through one arena state, so round
+   breakdowns and recipients charged across rounds are covered too. The
+   arena side feeds [Metrics] the way the network does (one call of
+   [count = k] per broadcast), the reference side one call per delivery. *)
+type pattern = Dup_broadcast | Unicast_then_broadcast | Broadcast_then_unicast
+
+let gen_mixed =
+  QCheck2.Gen.(
+    let* universe = int_range 2 8 in
+    let* rounds =
+      list_size (int_range 1 3)
+        (pair
+           (array_size (pure universe) bool)
+           (list_size (int_bound 12)
+              (quad
+                 (oneofl
+                    [
+                      Dup_broadcast;
+                      Unicast_then_broadcast;
+                      Broadcast_then_unicast;
+                    ])
+                 (int_bound (universe - 1))
+                 (int_bound (universe - 1))
+                 (int_bound 4))))
+    in
+    pure rounds)
+
+let prop_broadcast_once_matches_replay =
+  QCheck2.Test.make ~count:200
+    ~name:"wire: once-per-broadcast accounting == per-delivery replay"
+    gen_mixed
+    (fun rounds ->
+      let state = Delivery.arena_create () in
+      let w_ref = Wire.create () and w = Wire.create () in
+      let m_ref = Metrics.create () and m = Metrics.create () in
+      let bits payload = 16 + (8 * payload) in
+      List.iteri
+        (fun i (mask, patterns) ->
+          let round = i + 1 in
+          let present =
+            List.init (Array.length mask) id
+            |> List.filteri (fun j _ -> mask.(j))
+            |> Node_id.Set.of_list
+          in
+          let envelopes =
+            List.concat_map
+              (fun (shape, src, dst, p) ->
+                let b = Envelope.broadcast ~src:(id src) p
+                and u = Envelope.send ~src:(id src) ~dst:(id dst) p in
+                match shape with
+                | Dup_broadcast -> [ b; b ]
+                | Unicast_then_broadcast -> [ u; b ]
+                | Broadcast_then_unicast -> [ b; u ])
+              patterns
+          in
+          ignore
+            (arena_round ~state ~metrics:m ~wire:w ~round ~kind:kind_of ~bits
+               ~equal:Int.equal ~present ~envelopes ());
+          ignore
+            (reference_round ~metrics:m_ref ~wire:w_ref ~round ~kind:kind_of
+               ~bits ~equal:Int.equal ~present ~envelopes ()))
+        rounds;
+      let universe = List.init 8 id in
+      Wire.equal w_ref w
+      && Json.to_string (Wire.to_json w_ref) = Json.to_string (Wire.to_json w)
+      && List.for_all
+           (fun n -> Wire.budget_of w_ref n = Wire.budget_of w n)
+           universe
+      && Wire.max_budget w_ref = Wire.max_budget w
+      && Metrics.wire_bits_per_round m_ref = Metrics.wire_bits_per_round m
+      && Metrics.wire_msgs m_ref = Metrics.wire_msgs m)
 
 let suite =
   ( "obs",
@@ -220,4 +268,5 @@ let suite =
       quick "complexity: json round-trip" test_fit_json_roundtrip;
       quick "on_deliver fires once per delivery" test_on_deliver_matches_count;
     ]
-    @ qcheck_cases [ prop_wire_cross_core_identity ] )
+    @ qcheck_cases
+        [ prop_wire_cross_core_identity; prop_broadcast_once_matches_replay ] )
