@@ -12,7 +12,7 @@ UBPA_SEED ?= 7
 
 .PHONY: all build test bench bench-fast bench-csv bench-json bench-check \
 	bench-only bench-baseline bench-gate scale check check-full chaos \
-	runtime runtime-chaos fmt fmt-check linkcheck examples clean
+	runtime runtime-chaos heap-sweep fmt fmt-check linkcheck examples clean
 
 all: build
 
@@ -143,6 +143,24 @@ runtime-chaos:
 	dune exec bin/ubpa_cli.exe -- run --runtime domains --protocol consensus \
 		-n 4 --seed 1 --max-rounds 12 --faults "recv-omit:1@1..12=1.0" \
 		--expect violation
+
+# Peak heap across the major GC's pacing: one untraced seed-1 instance
+# of perfbench workload W per space_overhead setting (OCAMLRUNPARAM o),
+# printing each top_heap_mb, then the min and max. Peak heap moves with
+# where the last major slice lands, so a heap claim should hold across
+# the whole sweep: `make heap-sweep W=consensus-byz-faults`.
+heap-sweep:
+	@test -n "$(W)" || { echo "usage: make heap-sweep W=<workload>" >&2; exit 2; }
+	dune build ./perfbench/bench.exe
+	@for o in 110 115 120 125 130; do \
+		printf 'o=%s ' $$o; \
+		OCAMLRUNPARAM=o=$$o ./_build/default/perfbench/bench.exe \
+			--workload $(W) --seed 1 --trace 0 | tail -n 1 | \
+			python3 -c 'import json,sys; print(json.load(sys.stdin)["gc"]["top_heap_mb"])' \
+			|| exit 1; \
+	done | awk '{ print; v = $$2 + 0; \
+		if (NR == 1 || v < lo) lo = v; if (NR == 1 || v > hi) hi = v } \
+		END { if (NR != 5) exit 1; printf "min %s max %s\n", lo, hi }'
 
 fmt:
 	dune build @fmt --auto-promote

@@ -313,15 +313,15 @@ module Make (M : Model.S) = struct
   (* Replay [actions], then keep stepping silent rounds until every node
      halted (or is written off) or [max_rounds] is reached — the same
      loop shape as Network.run. A [monitor] observes after every round
-     and sees every trace event, exactly like Harness.execute wires it
-     for the simulator cores. *)
+     and, when it has event invariants, sees every trace event, exactly
+     like Harness.execute wires it for the simulator cores. *)
   let replay ?trace ?monitor ?(max_rounds = 16) ~correct ~byzantine ~actions
       () =
     let trace =
       match (trace, monitor) with
       | Some tr, _ -> tr
-      | None, Some _ -> Trace.create ()
-      | None, None -> Trace.disabled
+      | None, Some m when Ubpa_monitor.needs_trace m -> Trace.create ()
+      | None, _ -> Trace.disabled
     in
     (match monitor with
     | Some m when Trace.enabled trace ->

@@ -103,8 +103,10 @@ module Make (M : Model.S) : sig
       beyond the script run the silent action; execution stops when every
       node halted (or was crashed) and the script is exhausted, or at
       [max_rounds] (default 16) with the stalled set reported exactly like
-      {!Ubpa_sim.Network}. A [monitor] sees every trace event and gets a
-      per-round observation, mirroring the harness wiring. *)
+      {!Ubpa_sim.Network}. A [monitor] gets a per-round observation and,
+      when {!Ubpa_monitor.needs_trace} holds, every trace event — an
+      enabled trace is created for it if [trace] is absent — mirroring
+      the harness wiring. *)
 
   val population : seed:int64 -> n:int -> f:int -> Node_id.t list * Node_id.t list
   (** The (correct, byzantine) ids {!check} uses — for building replay

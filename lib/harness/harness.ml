@@ -156,12 +156,13 @@ module Make (P : Protocol.S) = struct
   let execute ?rushing ?seed ?faults ?trace ?classify ?stimulus ?max_rounds
       ?stop ?(settle = 0) ?monitor ?reference ~correct ~byzantine () =
     (* Event-based invariants need an enabled trace to subscribe to; give
-       monitored runs one even if the caller did not ask for a trace. *)
+       such a monitor one even if the caller did not ask for a trace. A
+       round-only monitor reads no event, so its run records none. *)
     let trace =
       match (trace, monitor) with
       | Some tr, _ -> Some tr
-      | None, Some _ -> Some (Trace.create ())
-      | None, None -> None
+      | None, Some m when Ubpa_monitor.needs_trace m -> Some (Trace.create ())
+      | None, _ -> None
     in
     let net =
       create ?rushing ?seed ?faults ?trace ?classify ?stimulus ~correct

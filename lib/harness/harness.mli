@@ -131,8 +131,10 @@ module Make (P : Protocol.S) : sig
       before collecting. [faults] is handed to [Net.create]. [monitor]
       switches to a hand-driven loop with the same semantics that feeds
       the monitor after every round (settle rounds included) and
-      subscribes it to the trace — an enabled trace is created on the
-      caller's behalf if none was supplied, so event-based invariants
-      always see the run. [reference] runs {!check_reference} after every
+      subscribes it to the trace. When the monitor has event invariants
+      ({!Ubpa_monitor.needs_trace}) and no [trace] was supplied, an
+      enabled trace is created on the caller's behalf, so they always see
+      the run; a round-only monitor's run records no trace unless the
+      caller passed one. [reference] runs {!check_reference} after every
       round, settle rounds included, on the same hand-driven loop. *)
 end

@@ -86,6 +86,8 @@ let observe_event t (e : Trace.event) =
                   false))
         t.insts
 
+let needs_trace t = List.exists (fun inst -> Option.is_some inst.i_event) t.insts
+
 let violations t = List.rev t.violations
 let first_violation t = match violations t with [] -> None | v :: _ -> Some v
 let all_green t = t.violations = []

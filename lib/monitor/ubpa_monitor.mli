@@ -47,6 +47,13 @@ val observe : 'o t -> round:int -> 'o node_obs list -> unit
 val observe_event : 'o t -> Ubpa_sim.Trace.event -> unit
 (** Feed one trace event; pass this to [Trace.subscribe]. *)
 
+val needs_trace : 'o t -> bool
+(** Some live invariant has an event hook ({!no_send_after_halt},
+    {!custom} with [on_event]), so the run must record an enabled trace
+    for {!observe_event} to have anything to see. A monitor of round
+    invariants only reads {!observe}, and a run it watches can keep
+    its trace disabled. *)
+
 val violations : 'o t -> violation list
 (** In order of detection; at most one per invariant. *)
 

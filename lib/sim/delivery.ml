@@ -56,29 +56,36 @@ let route_reference ?(on_deliver = fun ~recipient:_ ~src:_ _ -> ()) ~equal
 (* fine at n ≈ 300 and dominates the profile at n ≈ 10,000. The arena    *)
 (* core keeps one grow-only state across rounds:                         *)
 (*                                                                       *)
-(*   - recipients and senders are interned once (the interner persists   *)
-(*     and only grows), and per-round presence is a stamp in a flat      *)
-(*     array — nothing is cleared between rounds, the stamp just moves;  *)
+(*   - recipients are interned once (the interner persists and only      *)
+(*     grows), and per-round presence is a stamp in a flat array —       *)
+(*     nothing is cleared between rounds, the stamp just moves;          *)
 (*   - a broadcast is ONE logical record (sender, payload, exclusions),  *)
 (*     expanded lazily when an inbox is read, never fanned out into n    *)
-(*     physical copies;                                                  *)
-(*   - unicasts land in flat parallel arenas and are sealed into CSR     *)
-(*     slices — (offset, length) ranges into one position array — by a   *)
-(*     counting sort, so reading an inbox is a merge of two sorted       *)
-(*     cursors;                                                          *)
-(*   - sender-level broadcast dedup is a Bitset membership test in the   *)
-(*     common one-payload-per-sender case, falling back to a hashed      *)
-(*     payload list only for senders that broadcast twice.               *)
+(*     physical copies; the scan dedups it against the sender's earlier  *)
+(*     broadcasts this round, a short per-sender payload list;           *)
+(*   - the scan appends every unicast to a present recipient to flat     *)
+(*     parallel arenas and decides nothing about it; [seal] counting-    *)
+(*     sorts them into per-recipient CSR slices — (offset, length)       *)
+(*     ranges into one position array — ordered by (sender, seq), and    *)
+(*     dedups each slice in one compaction pass, so reading an inbox is  *)
+(*     a merge of two sorted cursors.                                    *)
 (*                                                                       *)
 (* Delivery identity with the reference core is the contract: same      *)
 (* sorted inboxes, same [delivered] count, and accept-point hooks whose  *)
 (* expansion (a broadcast to its k recipients) is the reference core's   *)
-(* [on_deliver] multiset. The subtle case is cross-shape dedup — a       *)
-(* unicast equal to an earlier broadcast from the same sender is         *)
-(* suppressed at scan time, while a broadcast equal to an earlier        *)
-(* accepted unicast records the already-served recipients in its         *)
-(* exclusion list, skips them at read time, and subtracts them from      *)
-(* [delivered] and from the k its [on_broadcast] hook reports.           *)
+(* [on_deliver] multiset. The reference keeps the first of all messages  *)
+(* a recipient gets from one sender with equal payloads, unicast or      *)
+(* broadcast. Within a sorted slice one sender's unicasts are adjacent   *)
+(* and in send order, so the compaction keeps a unicast unless an equal  *)
+(* one from the same sender was kept before it in the slice, or the      *)
+(* sender broadcast an equal payload earlier in the round. A kept        *)
+(* unicast whose sender broadcast an equal payload LATER puts its        *)
+(* recipient on that broadcast's exclusion list: the broadcast skips it  *)
+(* at read time and charges k = |present| - |exclusions|.                *)
+(*                                                                       *)
+(* Hooks fire from [seal], once per accepted delivery or broadcast, but  *)
+(* not in scan order: [on_deliver] recipient by recipient during the     *)
+(* compaction, [on_broadcast] after it, once every exclusion is known.   *)
 (*                                                                       *)
 (* Ordering: the reference core stable-sorts each inbox by sender over   *)
 (* send order, which is exactly ascending (sender id, global scan        *)
@@ -89,36 +96,29 @@ let route_reference ?(on_deliver = fun ~recipient:_ ~src:_ _ -> ()) ~equal
 
 type 'm arena_state = {
   intr : Interner.t;
-      (* Private to the state; persists and grows across rounds. *)
+      (* Recipients only; private to the state, persists and grows across
+         rounds. *)
   mutable stamp : int;
       (* Round stamp. A dense index ix is present this round iff
          [present_at.(ix) = stamp]; advancing the stamp invalidates every
          mark in O(1). *)
   mutable present_at : int array;
-  mutable pres_rank : int array;
-      (* By dense index, valid where [present_at] is current: position in
-         the ascending present order. *)
-  pres_ixs : int Arena.t; (* present members, ascending-id order *)
-  pres_ids : Node_id.t Arena.t; (* parallel ids for [pres_ixs] *)
+  pres_ids : Node_id.t Arena.t; (* present members, ascending-id order *)
   (* Broadcast records: parallel arenas, one slot per accepted broadcast. *)
   b_src : Node_id.t Arena.t;
   b_seq : int Arena.t; (* global scan position, merge tie-break *)
   b_pay : 'm option Arena.t;
   b_excl : int list Arena.t; (* recipient ixs already served by unicast *)
   mutable b_order : int array; (* sealed: record indices by (sender, seq) *)
-  bc_any : Bitset.t; (* senders with ≥1 accepted broadcast this round *)
-  bc_pay : (int, 'm list) Hashtbl.t; (* sender ix -> distinct payloads *)
-  (* Unicast records: parallel arenas, one slot per accepted unicast. *)
+  bc_pay : (int, ('m * int) list) Hashtbl.t;
+      (* raw sender id -> its accepted broadcasts this round, as
+         (payload, broadcast record index) *)
+  (* Unicast records: parallel arenas, one slot per unicast to a present
+     recipient, duplicates included until [seal] compacts them away. *)
   u_rcpt : int Arena.t; (* recipient ix *)
   u_src : Node_id.t Arena.t;
   u_seq : int Arena.t;
   u_pay : 'm option Arena.t;
-  uni_seen : (int, 'm list) Hashtbl.t;
-      (* (recipient ix, sender ix), packed into one int so the key costs
-         no allocation -> distinct payloads accepted *)
-  uni_by_sender : (int, (int * 'm) list) Hashtbl.t;
-      (* sender ix -> accepted (recipient ix, payload), for broadcast
-         exclusion lists *)
   (* CSR slices into [u_pos], indexed by recipient ix and stamp-guarded
      like [present_at]. *)
   mutable sl_off : int array;
@@ -139,22 +139,17 @@ let arena_create ?(hint = 16) () =
     intr = Interner.create ~hint ();
     stamp = 0;
     present_at = Array.make hint 0;
-    pres_rank = Array.make hint 0;
-    pres_ixs = Arena.create ~hint ~dummy:0 ();
     pres_ids = Arena.create ~hint ~dummy:dummy_id ();
     b_src = Arena.create ~hint ~dummy:dummy_id ();
     b_seq = Arena.create ~hint ~dummy:0 ();
     b_pay = Arena.create ~hint ~dummy:None ();
     b_excl = Arena.create ~hint ~dummy:[] ();
     b_order = [||];
-    bc_any = Bitset.create ~hint ();
     bc_pay = Hashtbl.create 16;
     u_rcpt = Arena.create ~hint ~dummy:0 ();
     u_src = Arena.create ~hint ~dummy:dummy_id ();
     u_seq = Arena.create ~hint ~dummy:0 ();
     u_pay = Arena.create ~hint ~dummy:None ();
-    uni_seen = Hashtbl.create 16;
-    uni_by_sender = Hashtbl.create 16;
     sl_off = Array.make hint 0;
     sl_len = Array.make hint 0;
     sl_fill = Array.make hint 0;
@@ -175,7 +170,6 @@ let ensure_columns st =
       g
     in
     st.present_at <- grow st.present_at;
-    st.pres_rank <- grow st.pres_rank;
     st.sl_off <- grow st.sl_off;
     st.sl_len <- grow st.sl_len;
     st.sl_fill <- grow st.sl_fill;
@@ -183,13 +177,28 @@ let ensure_columns st =
   end
 
 let raw = Node_id.to_int
+let payload_of = function Some p -> p | None -> assert false
 
-(* Seal the unicast arenas into per-recipient CSR slices of [u_pos]:
-   counting sort by recipient, then an in-place insertion sort of each
-   slice by (sender, seq). Slices arrive in seq order already, so the
-   inner sort only moves records when a recipient heard from multiple
-   senders out of id order. *)
-let seal st =
+(* The record index of the accepted broadcast, among one sender's
+   [(payload, record)] list, whose payload equals [p]. *)
+let rec broadcast_of equal p = function
+  | [] -> None
+  | (q, b) :: rest -> if equal p q then Some b else broadcast_of equal p rest
+
+(* Some slot of [u_pos] in [j, w) holds a unicast whose payload equals [p]. *)
+let rec kept_among st equal p j w =
+  j < w
+  && (equal p (payload_of (Arena.unsafe_get st.u_pay st.u_pos.(j)))
+     || kept_among st equal p (j + 1) w)
+
+(* Seal the round: counting-sort the unicast arenas by recipient into
+   CSR slices of [u_pos], insertion-sort each slice by (sender, seq),
+   then compact it — dropping the unicasts the reference core would
+   have deduplicated and recording broadcast exclusions — and settle
+   the delivered count and the hooks. Slices arrive in seq order
+   already, so the sort only moves records when a recipient heard from
+   multiple senders out of id order. *)
+let seal ?on_deliver ?on_broadcast st ~equal =
   let nu = Arena.length st.u_rcpt in
   (* Recipients touched this round, so offset assignment skips the other
      interned indices entirely. *)
@@ -221,6 +230,8 @@ let seal st =
     let c = compare (raw (Arena.unsafe_get st.u_src a)) (raw (Arena.unsafe_get st.u_src b)) in
     if c <> 0 then c < 0 else a < b
   in
+  let nb = Arena.length st.b_src in
+  let delivered = ref 0 in
   Arena.iteri touched (fun _ rix ->
       let lo = st.sl_off.(rix) and len = st.sl_len.(rix) in
       for i = lo + 1 to lo + len - 1 do
@@ -231,8 +242,66 @@ let seal st =
           decr j
         done;
         st.u_pos.(!j) <- v
-      done);
-  let nb = Arena.length st.b_src in
+      done;
+      (* Compaction: [u_pos.(run .. w-1)] are the kept unicasts of the
+         current sender, [bcs] that sender's broadcasts this round. *)
+      let recipient =
+        match on_deliver with
+        | Some _ -> Interner.extern st.intr rix
+        | None -> dummy_id
+      in
+      let w = ref lo and run = ref lo in
+      let run_src = ref dummy_id and bcs = ref [] in
+      for i = lo to lo + len - 1 do
+        let u = st.u_pos.(i) in
+        let src = Arena.unsafe_get st.u_src u in
+        if i = lo || not (Node_id.equal src !run_src) then begin
+          run := !w;
+          run_src := src;
+          bcs :=
+            if nb = 0 then []
+            else
+              match Hashtbl.find_opt st.bc_pay (raw src) with
+              | Some l -> l
+              | None -> []
+        end;
+        let p = payload_of (Arena.unsafe_get st.u_pay u) in
+        let bc = broadcast_of equal p !bcs in
+        let served_by_broadcast =
+          match bc with
+          | Some b -> Arena.unsafe_get st.b_seq b < Arena.unsafe_get st.u_seq u
+          | None -> false
+        in
+        if not (served_by_broadcast || kept_among st equal p !run !w) then begin
+          st.u_pos.(!w) <- u;
+          incr w;
+          (match bc with
+          | Some b -> Arena.set st.b_excl b (rix :: Arena.unsafe_get st.b_excl b)
+          | None -> ());
+          incr delivered;
+          match on_deliver with
+          | Some f -> f ~recipient ~src p
+          | None -> ()
+        end
+      done;
+      st.sl_len.(rix) <- !w - lo);
+  let npresent = Arena.length st.pres_ids in
+  for b = 0 to nb - 1 do
+    let excl = Arena.unsafe_get st.b_excl b in
+    let k = npresent - List.length excl in
+    delivered := !delivered + k;
+    (* One notification for the whole accepted broadcast: the
+       recipients are the present set minus [excl], so the hook never
+       walks them. *)
+    match on_broadcast with
+    | Some f when k > 0 ->
+        f ~src:(Arena.unsafe_get st.b_src b)
+          (payload_of (Arena.unsafe_get st.b_pay b))
+          ~k
+          ~excluded:(List.map (Interner.extern st.intr) excl)
+    | _ -> ()
+  done;
+  st.delivered <- !delivered;
   let order = Array.init nb (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -241,8 +310,6 @@ let seal st =
     order;
   st.b_order <- order
 
-let payload_of = function Some p -> p | None -> assert false
-
 let route_arena ?on_deliver ?on_broadcast ~state:st ~equal ~present
     ~envelopes () =
   (* New round: advance the stamp, drop lengths to zero, keep capacity.
@@ -250,8 +317,6 @@ let route_arena ?on_deliver ?on_broadcast ~state:st ~equal ~present
      that pins at most one round of messages, which is the price of the
      allocation-free clear. *)
   st.stamp <- st.stamp + 1;
-  st.delivered <- 0;
-  Arena.clear st.pres_ixs;
   Arena.clear st.pres_ids;
   Arena.clear st.b_src;
   Arena.clear st.b_seq;
@@ -261,108 +326,43 @@ let route_arena ?on_deliver ?on_broadcast ~state:st ~equal ~present
   Arena.clear st.u_src;
   Arena.clear st.u_seq;
   Arena.clear st.u_pay;
-  Bitset.clear st.bc_any;
   Hashtbl.clear st.bc_pay;
-  Hashtbl.clear st.uni_seen;
-  Hashtbl.clear st.uni_by_sender;
   Node_id.Set.iter
     (fun id ->
       let ix = Interner.intern st.intr id in
       ensure_columns st;
       st.present_at.(ix) <- st.stamp;
-      st.pres_rank.(ix) <- Arena.length st.pres_ixs;
-      Arena.push st.pres_ixs ix;
       Arena.push st.pres_ids id)
     present;
-  let npresent = Arena.length st.pres_ixs in
   let seq = ref 0 in
   let scan (env : 'm Envelope.t) =
     match env.dst with
     | Envelope.To id -> (
         match Interner.find_opt st.intr id with
-        | Some rix
-          when rix < Array.length st.present_at
-               && st.present_at.(rix) = st.stamp ->
-            let six = Interner.intern st.intr env.src in
-            ensure_columns st;
-            (* Dense indices stay far below 2^31. *)
-            let ukey = (rix lsl 31) lor six in
-            let prior = Hashtbl.find_opt st.uni_seen ukey in
-            let dup_unicast =
-              match prior with
-              | Some l -> List.exists (equal env.payload) l
-              | None -> false
-            in
-            let dup_broadcast =
-              Bitset.mem st.bc_any six
-              && (match Hashtbl.find_opt st.bc_pay six with
-                 | Some l -> List.exists (equal env.payload) l
-                 | None -> false)
-            in
-            if not (dup_unicast || dup_broadcast) then begin
-              Hashtbl.replace st.uni_seen ukey
-                (env.payload :: (match prior with Some l -> l | None -> []));
-              Hashtbl.replace st.uni_by_sender six
-                ((rix, env.payload)
-                ::
-                (match Hashtbl.find_opt st.uni_by_sender six with
-                | Some l -> l
-                | None -> []));
-              Arena.push st.u_rcpt rix;
-              Arena.push st.u_src env.src;
-              Arena.push st.u_seq !seq;
-              incr seq;
-              Arena.push st.u_pay (Some env.payload);
-              st.delivered <- st.delivered + 1;
-              match on_deliver with
-              | Some f -> f ~recipient:id ~src:env.src env.payload
-              | None -> ()
-            end
+        | Some rix when st.present_at.(rix) = st.stamp ->
+            Arena.push st.u_rcpt rix;
+            Arena.push st.u_src env.src;
+            Arena.push st.u_seq !seq;
+            incr seq;
+            Arena.push st.u_pay (Some env.payload)
         | _ -> ())
     | Envelope.Broadcast ->
-        let six = Interner.intern st.intr env.src in
-        ensure_columns st;
-        let dup =
-          Bitset.mem st.bc_any six
-          && (match Hashtbl.find_opt st.bc_pay six with
-             | Some l -> List.exists (equal env.payload) l
-             | None -> false)
+        let key = raw env.src in
+        let prior =
+          match Hashtbl.find_opt st.bc_pay key with Some l -> l | None -> []
         in
-        if not dup then begin
-          Bitset.add st.bc_any six;
-          Hashtbl.replace st.bc_pay six
-            (env.payload
-            ::
-            (match Hashtbl.find_opt st.bc_pay six with
-            | Some l -> l
-            | None -> []));
-          let excl =
-            match Hashtbl.find_opt st.uni_by_sender six with
-            | None -> []
-            | Some l ->
-                List.filter_map
-                  (fun (rix, p) -> if equal p env.payload then Some rix else None)
-                  l
-          in
+        if Option.is_none (broadcast_of equal env.payload prior) then begin
+          Hashtbl.replace st.bc_pay key
+            ((env.payload, Arena.length st.b_src) :: prior);
           Arena.push st.b_src env.src;
           Arena.push st.b_seq !seq;
           incr seq;
           Arena.push st.b_pay (Some env.payload);
-          Arena.push st.b_excl excl;
-          let k = npresent - List.length excl in
-          st.delivered <- st.delivered + k;
-          (* One notification for the whole accepted broadcast: the
-             recipients are the present set minus [excl], so the hook
-             never walks them. *)
-          match on_broadcast with
-          | Some f when k > 0 ->
-              f ~src:env.src env.payload ~k
-                ~excluded:(List.map (Interner.extern st.intr) excl)
-          | _ -> ()
+          Arena.push st.b_excl []
         end
   in
   List.iter scan envelopes;
-  seal st;
+  seal ?on_deliver ?on_broadcast st ~equal;
   st
 
 let view_delivered st = st.delivered
@@ -431,10 +431,3 @@ let view_inbox st id =
 
 let view_present st =
   Arena.fold st.pres_ids ~init:[] ~f:(fun acc id -> id :: acc) |> List.rev
-
-let view_rank st id =
-  match Interner.find_opt st.intr id with
-  | Some rix
-    when rix < Array.length st.present_at && st.present_at.(rix) = st.stamp ->
-      Some st.pres_rank.(rix)
-  | _ -> None

@@ -13,7 +13,8 @@
 
     {!route_arena} is the simulator's only delivery engine: a grow-only
     flat-arena state reused across rounds, broadcasts kept as single
-    logical records expanded lazily at read time, built for the
+    logical records expanded lazily at read time, unicasts deduped by a
+    compaction pass over sorted per-recipient slices, built for the
     n ≈ 10,000 SCALE sweeps. {!route_reference} is the seed engine's
     list-scan implementation, kept verbatim as the executable
     specification — the single differential oracle the tests, the
@@ -23,15 +24,19 @@
 open Ubpa_util
 
 type 'm on_deliver = recipient:Node_id.t -> src:Node_id.t -> 'm -> unit
-(** Per-delivery accounting hook, invoked at the core's accept point —
-    immediately after a push survives the dedup and is counted. *)
+(** Per-delivery accounting hook, invoked once per accepted delivery, at
+    the point where the core decides it counts. {!route_reference} fires
+    it in scan order; {!route_arena} fires it for unicasts only, grouped
+    by recipient, while it dedups the sealed slices. Consumers must not
+    depend on the order — the repo's are additive counters. *)
 
 type 'm on_broadcast =
   src:Node_id.t -> 'm -> k:int -> excluded:Node_id.t list -> unit
 (** Per-broadcast accounting hook: one accepted broadcast reached [k > 0]
     recipients — every present node except [excluded], the distinct
-    recipients that already took an equal unicast from [src] this
-    round. *)
+    recipients that already took an equal unicast from [src] earlier in
+    the round. Fired once per accepted broadcast, after every unicast
+    has been deduped, so [k] and [excluded] are final. *)
 
 val route_reference :
   ?on_deliver:'m on_deliver ->
@@ -71,14 +76,18 @@ val route_arena :
   envelopes:'m Envelope.t list ->
   unit ->
   'm view
-(** Scans [envelopes] once (dedup decisions and hooks fire here, at the
-    accept points), seals unicasts into per-recipient CSR slices, and
-    returns the round's read view. [on_deliver] fires once per accepted
-    unicast. A broadcast is accepted as one record, charged
-    [|present|] minus its exclusions to the delivered count without
-    fanning out, and reported once through [on_broadcast]. The view
-    matches {!route_reference} on the same input: same inboxes, same
-    count, and hooks whose expansion is its [on_deliver] multiset. *)
+(** Scans [envelopes] once — broadcasts are deduped there, unicasts to
+    present recipients only appended — then seals the unicasts into
+    per-recipient CSR slices sorted by (sender, send order), dedups each
+    slice in one compaction pass that also builds the broadcast
+    exclusion lists, and returns the round's read view. [on_deliver]
+    fires once per accepted unicast during that pass. A broadcast is
+    accepted as one record, charged [|present|] minus its exclusions to
+    the delivered count without fanning out, and reported once through
+    [on_broadcast] after the pass. The view matches {!route_reference}
+    on the same input: same inboxes, same count, and hooks whose
+    expansion is its [on_deliver] multiset — the multiset, not the call
+    order. *)
 
 val view_delivered : 'm view -> int
 (** Total deliveries this round — what {!route_reference} returns. *)
@@ -91,7 +100,3 @@ val view_inbox : 'm view -> Node_id.t -> (Node_id.t * 'm) list
 
 val view_present : 'm view -> Node_id.t list
 (** The round's present set in ascending id order. *)
-
-val view_rank : 'm view -> Node_id.t -> int option
-(** Position of [id] in {!view_present}, [None] when absent — an index
-    for per-recipient side tables such as fault-filtered inboxes. *)

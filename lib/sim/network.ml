@@ -54,9 +54,9 @@ module Make (P : Protocol.S) = struct
     mutable routed :
       (P.message Envelope.t list * P.message Delivery.view) option;
         (* the last round's routing input (after link faults) and view *)
-    mutable filtered : (Node_id.t * P.message) list array option;
-        (* the last round's inboxes after receive faults, by present rank;
-           [None] on fault-free networks, which read the view directly *)
+    mutable filtered : (Node_id.t * P.message) list Node_id.Map.t;
+        (* the last round's inboxes of receive-fault victims, after the
+           faults; every other node reads the view directly *)
   }
 
   let no_stimulus ~round:_ _ = []
@@ -87,7 +87,7 @@ module Make (P : Protocol.S) = struct
         pending = [];
         dup_next = [];
         routed = None;
-        filtered = None;
+        filtered = Node_id.Map.empty;
       }
     in
     let ids = List.map fst correct @ List.map fst byzantine in
@@ -196,7 +196,7 @@ module Make (P : Protocol.S) = struct
     (* Drop last round's routing input before building this one's, so at
        most one round of envelopes is live. *)
     t.routed <- None;
-    t.filtered <- None;
+    t.filtered <- Node_id.Map.empty;
     let envelopes = List.rev t.pending in
     (* Link-level faults happen before routing: per-envelope loss drops the
        envelope for every recipient; duplication re-injects a copy into the
@@ -269,71 +269,64 @@ module Make (P : Protocol.S) = struct
     Metrics.record_delivered t.metrics ~round delivered
 
   (* Receive-side faults are per recipient, after routing: a broadcast may
-     be lost at one victim and arrive everywhere else. Inboxes are
-     filtered in ascending recipient order — the order every [frng] draw
-     has always been made in — and stored by present rank. Returns the
-     number of deliveries dropped. *)
+     be lost at one victim and arrive everywhere else. Only this round's
+     victims — a nonzero recv-omission probability or an active delay
+     window — have their inboxes expanded, filtered and stored; every
+     other node reads the view lazily, as on a fault-free network.
+     Victims are filtered in ascending recipient order, and non-victims
+     draw nothing, so every [frng] draw is made in the order it always
+     was. Returns the number of deliveries dropped. *)
   and fault_filter t view =
     let dropped = ref 0 in
-    let filter dst inbox =
-      let p =
-        Ubpa_faults.recv_omission_prob t.faults ~node:dst ~round:t.round
-      in
-      let inbox =
-        if p <= 0. then inbox
-        else
-          List.filter
-            (fun (src, payload) ->
-              if Rng.float t.frng 1.0 < p then begin
-                incr dropped;
-                if Trace.enabled t.tr then
-                  Trace.recordf t.tr ~round:t.round ~node:dst
-                    ~kind:Trace.Fault "fault: recv-omission drop from %a: %a"
-                    Node_id.pp src P.pp_message payload;
-                false
-              end
-              else true)
-            inbox
-      in
-      (* A delayed envelope misses its delivery round; the synchronous
-         engine has no late slot, so it is dropped. No randomness is
-         drawn unless a delay window is active, keeping delay-free plans
-         bit-reproducible. *)
-      match Ubpa_faults.delay_spec t.faults ~node:dst ~round:t.round with
-      | None -> inbox
-      | Some (dp, dr) ->
-          List.filter
-            (fun (src, payload) ->
-              if Rng.float t.frng 1.0 < dp then begin
-                incr dropped;
-                if Trace.enabled t.tr then
-                  Trace.recordf t.tr ~round:t.round ~node:dst
-                    ~kind:Trace.Fault
-                    "fault: delay +%dr (missed its round) from %a: %a" dr
-                    Node_id.pp src P.pp_message payload;
-                false
-              end
-              else true)
-            inbox
+    let drop_each p dst inbox ~why =
+      List.filter
+        (fun (src, payload) ->
+          if Rng.float t.frng 1.0 < p then begin
+            incr dropped;
+            if Trace.enabled t.tr then
+              Trace.recordf t.tr ~round:t.round ~node:dst ~kind:Trace.Fault
+                "fault: %s from %a: %a" why Node_id.pp src P.pp_message
+                payload;
+            false
+          end
+          else true)
+        inbox
     in
-    t.filtered <-
-      Some
-        (Array.of_list
-           (List.map
-              (fun dst -> filter dst (Delivery.view_inbox view dst))
-              (Delivery.view_present view)));
+    List.iter
+      (fun dst ->
+        let p =
+          Ubpa_faults.recv_omission_prob t.faults ~node:dst ~round:t.round
+        in
+        (* A delayed envelope misses its delivery round; the synchronous
+           engine has no late slot, so it is dropped. No randomness is
+           drawn unless a delay window is active, keeping delay-free plans
+           bit-reproducible. *)
+        let delay = Ubpa_faults.delay_spec t.faults ~node:dst ~round:t.round in
+        if p > 0. || Option.is_some delay then begin
+          let inbox = Delivery.view_inbox view dst in
+          let inbox =
+            if p > 0. then drop_each p dst inbox ~why:"recv-omission drop"
+            else inbox
+          in
+          let inbox =
+            match delay with
+            | None -> inbox
+            | Some (dp, dr) ->
+                drop_each dp dst inbox
+                  ~why:(Printf.sprintf "delay +%dr (missed its round)" dr)
+          in
+          t.filtered <- Node_id.Map.add dst inbox t.filtered
+        end)
+      (Delivery.view_present view);
     !dropped
 
   let inbox t id =
     match t.routed with
     | None -> []
     | Some (_, view) -> (
-        match t.filtered with
-        | None -> Delivery.view_inbox view id
-        | Some by_rank -> (
-            match Delivery.view_rank view id with
-            | Some k -> by_rank.(k)
-            | None -> []))
+        match Node_id.Map.find_opt id t.filtered with
+        | Some inbox -> inbox
+        | None -> Delivery.view_inbox view id)
 
   let routed t = t.routed
 

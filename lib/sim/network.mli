@@ -124,6 +124,13 @@ module Make (P : Protocol.S) : sig
       the next {!step_round} — what the reference oracle
       ({!Ubpa_harness.Harness.Make.check_reference}) re-routes. *)
 
+  val inbox : t -> Node_id.t -> (Node_id.t * P.message) list
+  (** What node [id] read in the last executed round: its routed inbox
+      after receive faults. Only the round's receive-fault victims have
+      a stored, filtered inbox; every other node's is expanded from the
+      view on each call. Empty before the first round and for nodes
+      absent that round. *)
+
   val correct_ids : t -> Node_id.t list
   (** Every correct node that ever joined, ascending. *)
 

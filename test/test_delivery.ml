@@ -34,6 +34,36 @@ let same_inboxes a b =
 let kind _ = "m"
 let bits payload = 16 + (8 * payload)
 
+(* The accept-point hooks of both cores as one sorted multiset of
+   (recipient, sender, payload) deliveries: the arena core's broadcasts
+   expanded to every present node outside their exclusion list. The
+   arena core fires its hooks in a different order than the reference
+   core, so only the multiset is compared. *)
+let same_hook_multiset ~present ~envelopes =
+  let flat = ref [] in
+  let add r s p = flat := (Node_id.to_int r, Node_id.to_int s, p) :: !flat in
+  let _ =
+    Delivery.route_reference
+      ~on_deliver:(fun ~recipient ~src p -> add recipient src p)
+      ~equal:Int.equal ~present ~envelopes ()
+  in
+  let expected = List.sort compare !flat in
+  flat := [];
+  let k_ok = ref true in
+  let _ =
+    Delivery.route_arena
+      ~on_deliver:(fun ~recipient ~src p -> add recipient src p)
+      ~on_broadcast:(fun ~src p ~k ~excluded ->
+        let reached =
+          Node_id.Set.diff present (Node_id.Set.of_list excluded)
+        in
+        if k <> Node_id.Set.cardinal reached then k_ok := false;
+        Node_id.Set.iter (fun r -> add r src p) reached)
+      ~state:(Delivery.arena_create ()) ~equal:Int.equal ~present ~envelopes
+      ()
+  in
+  !k_ok && expected = List.sort compare !flat
+
 let matches_reference ~present ~envelopes =
   let ref_wire = Ubpa_obs.Wire.create () and wire = Ubpa_obs.Wire.create () in
   let ref_inboxes, ref_count =
@@ -47,6 +77,7 @@ let matches_reference ~present ~envelopes =
   count = ref_count
   && same_inboxes ref_inboxes inboxes
   && Ubpa_obs.Wire.equal ref_wire wire
+  && same_hook_multiset ~present ~envelopes
 
 let check_same ~present ~envelopes =
   Alcotest.(check bool)
@@ -194,6 +225,73 @@ let prop_arena_differential =
       in
       matches_reference ~present ~envelopes)
 
+(* QCheck differential aimed at the seal's compaction pass: the same
+   (recipient, sender, payload) unicast repeated, an equal broadcast from
+   that sender before, between or after the copies, and fan-in from many
+   senders in descending id order (the slice sort's worst case), mixed
+   with background traffic. *)
+type dedup_item =
+  | Noise of int * int option * int  (* src, dst (None = broadcast), payload *)
+  | Repeat of int * int * int * int * [ `None | `Before | `Between | `After ]
+      (* recipient, sender, payload, copies *)
+  | Fan_in of int * int list * int  (* recipient, senders, payload *)
+
+let gen_dedup_batch =
+  QCheck2.Gen.(
+    let* universe = int_range 2 9 in
+    let* present_mask = array_size (pure universe) bool in
+    let node = int_bound (universe - 1) in
+    let item =
+      frequency
+        [
+          ( 2,
+            map3
+              (fun s d p -> Noise (s, d, p))
+              node (option node) (int_bound 3) );
+          ( 3,
+            let* r = node and* s = node and* p = int_bound 3 in
+            let* copies = int_range 2 3 in
+            let* at = oneofl [ `None; `Before; `Between; `After ] in
+            pure (Repeat (r, s, p, copies, at)) );
+          ( 1,
+            let* r = node and* p = int_bound 3 in
+            let* senders = list_size (int_range 2 universe) node in
+            pure
+              (Fan_in
+                 (r, List.sort_uniq (fun a b -> compare b a) senders, p)) );
+        ]
+    in
+    let* items = list_size (int_bound 12) item in
+    pure (universe, present_mask, items))
+
+let expand_dedup_item = function
+  | Noise (s, None, p) -> [ Envelope.broadcast ~src:(id s) p ]
+  | Noise (s, Some d, p) -> [ Envelope.send ~src:(id s) ~dst:(id d) p ]
+  | Repeat (r, s, p, copies, at) ->
+      let u = Envelope.send ~src:(id s) ~dst:(id r) p in
+      let b = Envelope.broadcast ~src:(id s) p in
+      let us = List.init copies (fun _ -> u) in
+      (match at with
+      | `None -> us
+      | `Before -> b :: us
+      | `Between -> u :: b :: List.tl us
+      | `After -> us @ [ b ])
+  | Fan_in (r, senders, p) ->
+      List.map (fun s -> Envelope.send ~src:(id s) ~dst:(id r) p) senders
+
+let prop_arena_dedup =
+  QCheck2.Test.make ~count:500
+    ~name:"arena vs reference on repeated unicasts and equal broadcasts"
+    gen_dedup_batch
+    (fun (universe, present_mask, items) ->
+      let present =
+        List.init universe Fun.id
+        |> List.filter (fun i -> present_mask.(i))
+        |> List.map id |> Node_id.Set.of_list
+      in
+      let envelopes = List.concat_map expand_dedup_item items in
+      matches_reference ~present ~envelopes)
+
 (* ----- full protocol runs, every round checked by the oracle ----- *)
 
 module C = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
@@ -273,6 +371,74 @@ let test_trace_determinism () =
     ("a7269d47d51b9d98b6588859814e65a2", 65082)
     (traced_jsonl ~faults ())
 
+(* ----- the fault path reads the view lazily ----- *)
+
+(* Receive faults expand and store only their victims' inboxes. Every
+   round of a run where recv-omission hits two of ten nodes: a
+   non-victim's inbox is the view's own lazy read — entry for entry the
+   same sender and physically the same payload, expanded afresh on each
+   call — and a victim's is a stored, ordered sub-list of that read. *)
+let test_fault_path_lazy_inboxes () =
+  let ids = Node_id.scatter ~seed:41L 10 in
+  let victims = [ List.nth ids 2; List.nth ids 5 ] in
+  let faults =
+    Ubpa_faults.make
+      (List.map
+         (fun v -> (v, [ Ubpa_faults.recv_omission ~first:1 ~last:20 ~prob:0.5 () ]))
+         victims)
+  in
+  let correct_ids = List.filteri (fun i _ -> i < 8) ids in
+  let byz_ids = List.filteri (fun i _ -> i >= 8) ids in
+  let net =
+    Net.create ~seed:17L ~faults
+      ~correct:(List.mapi (fun i nid -> (nid, i mod 2)) correct_ids)
+      ~byzantine:(List.map (fun nid -> (nid, A.split_world 0 1)) byz_ids)
+      ()
+  in
+  let same_entry (s1, p1) (s2, p2) = Node_id.equal s1 s2 && p1 == p2 in
+  let rec ordered_sub sub full =
+    match (sub, full) with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: sub', y :: full' ->
+        if same_entry x y then ordered_sub sub' full' else ordered_sub sub full'
+  in
+  let lazy_reads = ref 0 and victim_losses = ref 0 in
+  while (not (Net.all_halted net)) && Net.round net < 20 do
+    Net.step_round net;
+    match Net.routed net with
+    | None -> Alcotest.fail "a stepped network has a routed view"
+    | Some (_, view) ->
+        List.iter
+          (fun nid ->
+            let read = Delivery.view_inbox view nid and got = Net.inbox net nid in
+            let victim =
+              Ubpa_faults.recv_omission_prob faults ~node:nid
+                ~round:(Net.round net)
+              > 0.
+            in
+            if victim then begin
+              check_true "victim inbox is an ordered sub-list of the view"
+                (ordered_sub got read);
+              check_true "victim inbox is stored once" (Net.inbox net nid == got);
+              if List.length got < List.length read then incr victim_losses
+            end
+            else begin
+              check_true "non-victim inbox is the lazy view read"
+                (List.length got = List.length read
+                && List.for_all2 same_entry got read);
+              if read <> [] then begin
+                (* Nothing stored: every read expands the view afresh. *)
+                check_true "non-victim inbox is not materialised"
+                  (Net.inbox net nid != got);
+                incr lazy_reads
+              end
+            end)
+          (Delivery.view_present view)
+  done;
+  check_true "non-victims read non-empty inboxes" (!lazy_reads > 0);
+  check_true "the victims lost deliveries" (!victim_losses > 0)
+
 (* ----- zero-correct-node networks ----- *)
 
 let test_no_correct_nodes () =
@@ -328,10 +494,12 @@ let suite =
         test_engine_equivalence;
       Alcotest.test_case "trace determinism across cores (with faults)" `Quick
         test_trace_determinism;
+      Alcotest.test_case "fault path: only victims' inboxes are filtered"
+        `Quick test_fault_path_lazy_inboxes;
       Alcotest.test_case "run on zero-correct network" `Quick
         test_no_correct_nodes;
       Alcotest.test_case "queued correct join is not vacuous" `Quick
         test_queued_join_still_runs;
       Alcotest.test_case "clock shim is monotonic" `Quick test_clock_monotonic;
     ]
-    @ Helpers.qcheck_cases [ prop_arena_differential ] )
+    @ Helpers.qcheck_cases [ prop_arena_differential; prop_arena_dedup ] )

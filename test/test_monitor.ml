@@ -158,6 +158,119 @@ let test_custom () =
       Alcotest.(check string) "name" "even-round-quiet" v.M.invariant
   | None -> Alcotest.fail "custom hook must fire"
 
+(* ----- when a monitored run records a trace ----- *)
+
+module C = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
+module H = Ubpa_harness.Harness.Make (C)
+module A = Ubpa_adversary.Consensus_attacks.Make (Unknown_ba.Value.Int)
+
+(* The split-world consensus run of the delivery tests, watched by
+   [invariants], with or without a caller-supplied trace. *)
+let monitored_run ?trace invariants =
+  let ids = Node_id.scatter ~seed:41L 10 in
+  let correct_ids = List.filteri (fun i _ -> i < 8) ids in
+  let byz_ids = List.filteri (fun i _ -> i >= 8) ids in
+  let m = M.create invariants in
+  let o =
+    H.execute ~seed:17L ?trace ~monitor:m
+      ~correct:(List.mapi (fun i nid -> (nid, i mod 2)) correct_ids)
+      ~byzantine:(List.map (fun nid -> (nid, A.split_world 0 1)) byz_ids)
+      ()
+  in
+  (o, m)
+
+let metrics_summary mt =
+  Metrics.
+    ( (rounds mt, sends_correct mt, sends_byzantine mt, delivered mt),
+      (delivered_per_round mt, wire_msgs mt, wire_bits mt),
+      (wire_bits_per_round mt, kinds mt) )
+
+let test_round_only_monitor_untraced () =
+  (* Agreement and validity read only the per-round observations. The
+     validity predicate rejects every decision, so both runs carry
+     violations to compare. *)
+  let invariants () =
+    [
+      M.agreement ~equal:Int.equal ();
+      M.validity ~name:"rejects-all" ~ok:(fun _ _ -> false) ();
+    ]
+  in
+  let o, m = monitored_run (invariants ()) in
+  check_false "round-only monitor needs no trace" (M.needs_trace m);
+  check_false "no implicit trace recorded" (Trace.enabled (H.Net.trace o.H.net));
+  let trace = Trace.create () in
+  let o', m' = monitored_run ~trace (invariants ()) in
+  check_true "explicit trace honoured" (Trace.enabled (H.Net.trace o'.H.net));
+  check_true "explicit trace recorded the run" (Trace.events trace <> []);
+  check_true "same outputs" (o.H.outputs = o'.H.outputs);
+  check_true "same finish" (o.H.finished = o'.H.finished);
+  Alcotest.(check string)
+    "same wire JSON bytes"
+    (Json.to_string (Ubpa_obs.Wire.to_json (H.Net.wire o'.H.net)))
+    (Json.to_string (Ubpa_obs.Wire.to_json (H.Net.wire o.H.net)));
+  check_true "same metrics"
+    (metrics_summary o.H.metrics = metrics_summary o'.H.metrics);
+  check_true "the run has violations" (M.violations m <> []);
+  check_true "same violations" (M.violations m = M.violations m')
+
+(* A stub protocol: every node broadcasts one ping and halts in its first
+   round. *)
+module Ping_once = struct
+  type input = unit
+  type stimulus = Protocol.No_stimulus.t
+  type output = unit
+  type message = int
+  type state = unit
+
+  let name = "ping-once"
+  let init ~self:_ ~round:_ () = ()
+
+  let step ~self:_ ~round:_ ~stim:_ () ~inbox:_ =
+    ((), [ (Envelope.Broadcast, 0) ], Protocol.Stop ())
+
+  include Protocol.Structural (Int)
+
+  let pp_message = Fmt.int
+end
+
+module HP = Ubpa_harness.Harness.Make (Ping_once)
+
+let test_event_invariant_gets_trace () =
+  (* A node restarted under its old identity sends again after it
+     halted. The lockstep engine never steps a halted node, so the
+     restart is a second run watched by the same monitor: only the
+     events of both runs show the send after the halt. *)
+  let correct = List.map (fun nid -> (nid, ())) (Node_id.scatter ~seed:5L 3) in
+  let m = M.create [ M.no_send_after_halt () ] in
+  check_true "event invariant needs a trace" (M.needs_trace m);
+  let first = HP.execute ~monitor:m ~correct ~byzantine:[] () in
+  check_true "implicit trace recorded"
+    (Trace.enabled (HP.Net.trace first.HP.net));
+  check_true "first run is green" (M.all_green m);
+  let _ = HP.execute ~monitor:m ~correct ~byzantine:[] () in
+  match M.first_violation m with
+  | Some v ->
+      Alcotest.(check string) "invariant" "no-send-after-halt" v.M.invariant;
+      check_int "in the restart's first round" 1 v.M.round
+  | None -> Alcotest.fail "send after halt must fire without an explicit trace"
+
+let test_custom_event_hook_sees_every_event () =
+  let count = ref 0 in
+  let counter =
+    M.custom ~name:"count-events"
+      ~on_event:(fun _ ->
+        incr count;
+        None)
+      ()
+  in
+  let o, m = monitored_run [ counter ] in
+  check_true "custom event hook needs a trace" (M.needs_trace m);
+  check_true "implicit trace recorded" (Trace.enabled (H.Net.trace o.H.net));
+  let trace = Trace.create () in
+  let _ = monitored_run ~trace [ M.agreement ~equal:Int.equal () ] in
+  check_true "the run has events" (!count > 0);
+  check_int "one call per trace event" (List.length (Trace.events trace)) !count
+
 let suite =
   ( "monitor",
     [
@@ -171,4 +284,10 @@ let suite =
       quick "no send after halt (events)" test_no_send_after_halt;
       quick "fires once, first violation kept" test_fires_once_and_first;
       quick "custom invariant" test_custom;
+      quick "round-only monitor records no trace"
+        test_round_only_monitor_untraced;
+      quick "event invariant gets an implicit trace"
+        test_event_invariant_gets_trace;
+      quick "custom event hook sees every event"
+        test_custom_event_hook_sees_every_event;
     ] )
