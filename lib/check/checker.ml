@@ -210,10 +210,11 @@ module Make (M : Model.S) = struct
           List.iter
             (fun (dst, payload) ->
               let env = { Envelope.src = n.cn_id; dst; payload } in
-              Trace.recordf tr ~round ~node:n.cn_id ~kind:Trace.Send
-                "send %a"
-                (Envelope.pp P.pp_message)
-                env;
+              if Trace.enabled tr then
+                Trace.recordf tr ~round ~node:n.cn_id ~kind:Trace.Send
+                  "send %a"
+                  (Envelope.pp P.pp_message)
+                  env;
               correct_envs := env :: !correct_envs)
             sends;
           match status with
@@ -233,9 +234,11 @@ module Make (M : Model.S) = struct
       List.map
         (fun (src, dst, payload) ->
           let env = { Envelope.src; dst = Envelope.To dst; payload } in
-          Trace.recordf tr ~round ~node:src ~kind:Trace.Byz_send "byz-send %a"
-            (Envelope.pp P.pp_message)
-            env;
+          if Trace.enabled tr then
+            Trace.recordf tr ~round ~node:src ~kind:Trace.Byz_send
+              "byz-send %a"
+              (Envelope.pp P.pp_message)
+              env;
           env)
         a.byz
     in
@@ -269,19 +272,39 @@ module Make (M : Model.S) = struct
   (* Canonical configuration key                                       *)
   (* ---------------------------------------------------------------- *)
 
-  let config_key sim =
+  (* Payload text for keys, formatted at most once per distinct payload
+     ([P.compare_message]). Each group expansion makes its own memo, so
+     nothing is shared between Pool workers. *)
+  let text_memo () = Key.memo P.compare_message P.pp_message
+
+  (* [|src->dst:payload], the text {!Envelope.pp} prints after a bar. *)
+  let add_envelope b ~text (env : P.message Envelope.t) =
+    Buffer.add_char b '|';
+    Key.add_id b env.src;
+    Buffer.add_string b "->";
+    (match env.dst with
+    | Envelope.Broadcast -> Buffer.add_char b '*'
+    | Envelope.To id -> Key.add_id b id);
+    Buffer.add_char b ':';
+    Buffer.add_string b (text env.payload)
+
+  (* One buffer pass: round, then per node its id, halt/down marks, state
+     key and output key, then every pending envelope. *)
+  let config_key ~text sim =
     let b = Buffer.create 256 in
-    Buffer.add_string b (string_of_int sim.round);
+    Key.add_int b sim.round;
+    let mark tag = function
+      | Some r ->
+          Buffer.add_string b tag;
+          Key.add_int b r
+      | None -> ()
+    in
     Array.iter
       (fun n ->
         Buffer.add_char b '|';
-        Buffer.add_string b (Fmt.str "%a" Node_id.pp n.cn_id);
-        (match n.cn_halted with
-        | Some r -> Buffer.add_string b (Printf.sprintf "!h%d" r)
-        | None -> ());
-        (match n.cn_down with
-        | Some r -> Buffer.add_string b (Printf.sprintf "!d%d" r)
-        | None -> ());
+        Key.add_id b n.cn_id;
+        mark "!h" n.cn_halted;
+        mark "!d" n.cn_down;
         Buffer.add_char b ':';
         Buffer.add_string b (M.state_key n.cn_state);
         Buffer.add_char b ':';
@@ -289,11 +312,7 @@ module Make (M : Model.S) = struct
         | None -> Buffer.add_char b '-'
         | Some o -> Buffer.add_string b (M.output_key o))
       sim.nodes;
-    List.iter
-      (fun (env : P.message Envelope.t) ->
-        Buffer.add_char b '|';
-        Buffer.add_string b (Fmt.str "%a" (Envelope.pp P.pp_message) env))
-      sim.pending;
+    List.iter (add_envelope b ~text) sim.pending;
     Buffer.contents b
 
   (* ---------------------------------------------------------------- *)
@@ -493,7 +512,7 @@ module Make (M : Model.S) = struct
      input and identical adversary history, neither pinned) — per-sender
      sorting alone would prune both representatives of some orbits when
      several byz senders are in play. *)
-  let byz_vectors ~symmetry ~palette ~byz ~recipients ~clone_class =
+  let byz_vectors ~text ~symmetry ~palette ~byz ~recipients ~clone_class =
     let opts = Array.of_list palette in
     let n_opts = 1 + Array.length opts in
     let byz = Array.of_list byz in
@@ -531,14 +550,21 @@ module Make (M : Model.S) = struct
     let total = pow n_cols (List.length tagged) in
     (* key fragments per (recipient, byz, option), so the hot leaf path
        below never formats — it only sorts and concatenates *)
+    let fb = Buffer.create 32 in
     let frag =
       List.map
         (fun (r, _) ->
           ( r,
             Array.init nb (fun i ->
                 Array.init (n_opts - 1) (fun o ->
-                    Fmt.str "|%a->%a:%a" Node_id.pp byz.(i) Node_id.pp r
-                      P.pp_message opts.(o))) ))
+                    Buffer.clear fb;
+                    add_envelope fb ~text
+                      {
+                        src = byz.(i);
+                        dst = Envelope.To r;
+                        payload = opts.(o);
+                      };
+                    Buffer.contents fb)) ))
         tagged
     in
     let vectors = ref [] and emitted = ref 0 in
@@ -588,7 +614,7 @@ module Make (M : Model.S) = struct
      specifically (scripted unicasts, omissions); crashed nodes are not
      recipients. Correct traffic is broadcast, so equal class strings
      mean the nodes are indistinguishable clones. *)
-  let clone_classes ~pinned ~inputs script_oldest =
+  let clone_classes ~text ~pinned ~inputs script_oldest =
     fun id ->
       if List.exists (Node_id.equal id) pinned then None
       else
@@ -602,18 +628,24 @@ module Make (M : Model.S) = struct
               List.filter_map
                 (fun (src, dst, m) ->
                   if Node_id.equal dst id then
-                    Some (Fmt.str "%a>%a" Node_id.pp src P.pp_message m)
+                    Some
+                      ("#" ^ string_of_int (Node_id.to_int src) ^ ">" ^ text m)
                   else None)
                 a.byz
               |> List.sort String.compare
             in
-            if mine <> [] then
-              Buffer.add_string b
-                (Printf.sprintf "|%d:%s" i (String.concat ";" mine));
+            if mine <> [] then begin
+              Buffer.add_char b '|';
+              Key.add_int b i;
+              Buffer.add_char b ':';
+              Key.add_list b ~sep:';' Buffer.add_string mine
+            end;
             match a.omit with
             | Some (src, dst) when Node_id.equal dst id ->
-                Buffer.add_string b
-                  (Fmt.str "|%d:om<%a" i Node_id.pp src)
+                Buffer.add_char b '|';
+                Key.add_int b i;
+                Buffer.add_string b ":om<";
+                Key.add_id b src
             | _ -> ())
           script_oldest;
         Some (Buffer.contents b)
@@ -642,6 +674,7 @@ module Make (M : Model.S) = struct
        copy, check properties and enumerate the next canonical byz
        vectors. Pure: safe on the Pool. *)
     let expand g =
+      let text = text_memo () in
       let base = replay_script g.gr_prefix in
       (match g.gr_benign with None -> () | Some b -> step base b);
       let benign' =
@@ -713,16 +746,16 @@ module Make (M : Model.S) = struct
                       in
                       if palette = [] || byzantine = [] then ([ ([], "") ], 0)
                       else
-                        byz_vectors
+                        byz_vectors ~text
                           ~symmetry:(symmetry && M.recipient_symmetric)
                           ~palette ~byz:base.byz_ids
                           ~recipients:(active_ids sim')
                           ~clone_class:
-                            (clone_classes ~pinned ~inputs:correct_inputs
+                            (clone_classes ~text ~pinned ~inputs:correct_inputs
                                (List.rev (action' :: parent_script)))
                   in
                   skips := !skips + skipped;
-                  let base_key = config_key sim' in
+                  let base_key = config_key ~text sim' in
                   let b_keyed =
                     List.map
                       (fun (vec, suffix) -> (base_key ^ suffix, vec))
@@ -790,7 +823,7 @@ module Make (M : Model.S) = struct
           } )
     in
     let root_sim = make_sim ~correct:correct_inputs ~byzantine () in
-    Hashtbl.add seen (config_key root_sim) ();
+    Hashtbl.add seen (config_key ~text:(text_memo ()) root_sim) ();
     let frontier =
       ref
         [

@@ -47,7 +47,11 @@ module type S = sig
 
   val state_key : P.state -> string
   (** Canonical fingerprint. Soundness contract: equal keys imply equal
-      behavior on equal future inboxes {e and} equal property verdicts. *)
+      behavior on equal future inboxes {e and} equal property verdicts.
+      Keys must not depend on [Format] layout: use fixed separators
+      ({!Ubpa_util.Key}), not break hints such as [Fmt.comma] or
+      [Fmt.semi], which [Format] turns into newlines outside a box (at
+      the last pending hint, and at every hint past the margin). *)
 
   val input_key : P.input -> string
   val output_key : P.output -> string

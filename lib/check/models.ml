@@ -53,13 +53,21 @@ module Rb = struct
   let state_key = P.state_key
 
   let input_key = function None -> "-" | Some v -> v
+
+  (* The accepted list as a set, in one buffer pass. *)
   let output_key out =
-    List.map
-      (fun (a : P.accepted) ->
-        Fmt.str "%s/%a@%d" a.payload Node_id.pp a.sender a.accepted_round)
-      out
-    |> List.sort String.compare
-    |> String.concat ";"
+    let b = Buffer.create 32 in
+    List.sort compare
+      (List.map
+         (fun (a : P.accepted) -> (a.payload, a.sender, a.accepted_round))
+         out)
+    |> Key.add_list b ~sep:';' (fun b (payload, sender, round) ->
+           Buffer.add_string b payload;
+           Buffer.add_char b '/';
+           Key.add_id b sender;
+           Buffer.add_char b '@';
+           Key.add_int b round);
+    Buffer.contents b
 
   (* RB's dynamics are id-order-free (thresholds count distinct echoers);
      only the designated sender and the echo-attribution target are

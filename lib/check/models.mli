@@ -9,6 +9,9 @@
 val universe : string list
 (** The RB payload universe. *)
 
-module Rb : Model.S with type P.input = string option
+module Rb :
+  Model.S
+    with module P = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String)
 
-module Consensus : Model.S with type P.input = int and type P.output = int
+module Consensus :
+  Model.S with module P = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)

@@ -32,8 +32,9 @@ module Make (V : Value.S) = struct
   let copy_state st = { st with core = Core.copy st.core }
 
   let state_key st =
-    Printf.sprintf "%s;d=%s" (Core.key st.core)
-      (match st.decided_phase with
-      | None -> "-"
-      | Some p -> string_of_int p)
+    let b = Buffer.create 128 in
+    Core.add_key b st.core;
+    Buffer.add_string b ";d=";
+    Ubpa_util.Key.add_option b Ubpa_util.Key.add_int st.decided_phase;
+    Buffer.contents b
 end

@@ -14,12 +14,17 @@
 module Make (V : Value.S) : sig
   module Core : module type of Consensus_core.Make (V)
 
+  (** Readable (not writable) from outside so tests can check
+      {!state_key} against an independent encoding. *)
+  type state = private { core : Core.t; mutable decided_phase : int option }
+
   include
     Ubpa_sim.Protocol.S
       with type input = V.t
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = V.t
        and type message = Core.message
+       and type state := state
 
   val decided_phase : state -> int option
   (** Phase in which this node decided, if it has. *)
@@ -34,6 +39,7 @@ module Make (V : Value.S) : sig
       Used by the bounded checker to branch a configuration. *)
 
   val state_key : state -> string
-  (** Canonical id-space fingerprint ({!Core.key} plus the decided phase);
-      equal keys mean equal behavior on equal future inboxes. *)
+  (** Canonical id-space fingerprint ({!Core.add_key} plus the decided
+      phase), built in one buffer pass; equal keys mean equal behavior on
+      equal future inboxes. *)
 end

@@ -101,8 +101,9 @@ module Make (V : Value.S) = struct
      Set-semantics fields ([intr] membership, [phase_silent], the echo and
      strongprefer buffers — every consumer runs them through a tally whose
      thresholds and deterministic tie-break are insertion-order free) are
-     sorted; everything else is copied verbatim. *)
-  let key t =
+     sorted; everything else is copied verbatim. Fixed separators, written
+     straight into the caller's buffer. *)
+  let add_key b t =
     let members = ref [] in
     Interner.iter t.intr (fun _ id -> members := id :: !members);
     let members = List.sort Node_id.compare !members in
@@ -121,24 +122,44 @@ module Make (V : Value.S) = struct
           match Node_id.compare a b with 0 -> V.compare x y | c -> c)
         t.strong_stash
     in
-    let pp_opt_v = Fmt.(option ~none:(any "-") V.pp) in
-    Fmt.str "r=%d;x=%a;n=%d;m=%a;rot=%s;cb=%a;co=%a;ss=%a;si=%a;sp=%a;st=%a;ps=%a"
-      t.local_round V.pp t.x_v t.n_v
-      Fmt.(list ~sep:comma Node_id.pp)
-      members
-      (Rotor_core.fingerprint t.rotor)
-      Fmt.(
-        list ~sep:semi (fun ppf (s, p) ->
-            Fmt.pf ppf "%a>%a" Node_id.pp s Node_id.pp p))
-      cands
-      Fmt.(option ~none:(any "-") Node_id.pp)
-      t.coordinator
-      Fmt.(
-        list ~sep:semi (fun ppf (s, x) ->
-            Fmt.pf ppf "%a:%a" Node_id.pp s V.pp x))
-      stash pp_opt_v t.sent_input pp_opt_v t.sent_prefer pp_opt_v t.sent_strong
-      Fmt.(list ~sep:comma Node_id.pp)
-      silent
+    let text = Key.memo V.compare V.pp in
+    let add_v b x = Buffer.add_string b (text x) in
+    let add_ids = Key.add_list b ~sep:',' Key.add_id in
+    let field name = Buffer.add_string b name in
+    field "r=";
+    Key.add_int b t.local_round;
+    field ";x=";
+    add_v b t.x_v;
+    field ";n=";
+    Key.add_int b t.n_v;
+    field ";m=";
+    add_ids members;
+    field ";rot=";
+    Rotor_core.add_fingerprint b t.rotor;
+    field ";cb=";
+    Key.add_list b ~sep:';'
+      (fun b (s, p) ->
+        Key.add_id b s;
+        Buffer.add_char b '>';
+        Key.add_id b p)
+      cands;
+    field ";co=";
+    Key.add_option b Key.add_id t.coordinator;
+    field ";ss=";
+    Key.add_list b ~sep:';'
+      (fun b (s, x) ->
+        Key.add_id b s;
+        Buffer.add_char b ':';
+        add_v b x)
+      stash;
+    field ";si=";
+    Key.add_option b add_v t.sent_input;
+    field ";sp=";
+    Key.add_option b add_v t.sent_prefer;
+    field ";st=";
+    Key.add_option b add_v t.sent_strong;
+    field ";ps=";
+    add_ids silent
 
   let phase t =
     if t.local_round < 3 then 0 else ((t.local_round - 3) / 5) + 1

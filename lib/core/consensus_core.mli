@@ -52,7 +52,29 @@ module Make (V : Value.S) : sig
 
   type status = Running | Decided of V.t
 
-  type t
+  (** Machine state, readable (not writable) from outside so tests can
+      check {!add_key} against an independent encoding. *)
+  type t = private {
+    self : Node_id.t;
+    rotor : Rotor_core.t;
+    mutable x_v : V.t;
+    mutable local_round : int;
+    intr : Interner.t;
+        (** dense member indices; fed until round 3, frozen after *)
+    mutable members_asc : Node_id.t list;  (** ascending, cached at freeze *)
+    mutable n_v : int;
+    mutable cand_buffer : (Node_id.t * Node_id.t) list;
+        (** (sender, candidate) echoes accumulated for the next rotor round *)
+    mutable coordinator : Node_id.t option;
+        (** selected at position 4, consulted at position 5 *)
+    mutable strong_stash : (Node_id.t * V.t) list;
+        (** strongprefer messages delivered at position 4, counted at 5 *)
+    mutable sent_input : V.t option;  (** my broadcast at position 1 *)
+    mutable sent_prefer : V.t option;  (** my broadcast at position 2 *)
+    mutable sent_strong : V.t option;  (** my broadcast at position 3 *)
+    mutable phase_silent : Bitset.t;
+        (** members (by dense index) that sent no [input] this phase *)
+  }
 
   val create : self:Node_id.t -> input:V.t -> t
 
@@ -80,9 +102,10 @@ module Make (V : Value.S) : sig
   (** Independent snapshot; stepping the copy never affects the
       original. Used by the bounded checker to branch a configuration. *)
 
-  val key : t -> string
-  (** Canonical id-space fingerprint: equal keys mean the two machines
-      behave identically on identical future inboxes. Set-semantics
-      buffers are sorted before encoding (their order never reaches a
-      threshold or the deterministic tally tie-break). *)
+  val add_key : Buffer.t -> t -> unit
+  (** Append the canonical id-space fingerprint: equal keys mean the two
+      machines behave identically on identical future inboxes.
+      Set-semantics buffers are sorted before encoding (their order never
+      reaches a threshold or the deterministic tally tie-break). Fixed
+      separators, no [Format] layout ({!Ubpa_util.Key}). *)
 end

@@ -50,16 +50,25 @@ module Make (V : Value.S) = struct
         (fun a b -> Pair.compare (a.payload, a.sender) (b.payload, b.sender))
         st.accepted
     in
-    let pp_acc ppf a =
-      Fmt.pf ppf "%a/%a@%d" V.pp a.payload Node_id.pp a.sender a.accepted_round
+    let text = Key.memo V.compare V.pp in
+    let add_v b x = Buffer.add_string b (text x) in
+    let add_acc b a =
+      add_v b a.payload;
+      Buffer.add_char b '/';
+      Key.add_id b a.sender;
+      Buffer.add_char b '@';
+      Key.add_int b a.accepted_round
     in
-    Fmt.str "r=%d;p=%a;h=%a;a=%a" st.local_round
-      Fmt.(option ~none:(any "-") V.pp)
-      st.my_payload
-      Fmt.(list ~sep:comma Node_id.pp)
-      heard
-      Fmt.(list ~sep:semi pp_acc)
-      acc
+    let b = Buffer.create 64 in
+    Buffer.add_string b "r=";
+    Key.add_int b st.local_round;
+    Buffer.add_string b ";p=";
+    Key.add_option b add_v st.my_payload;
+    Buffer.add_string b ";h=";
+    Key.add_list b ~sep:',' Key.add_id heard;
+    Buffer.add_string b ";a=";
+    Key.add_list b ~sep:';' add_acc acc;
+    Buffer.contents b
 
   let init ~self:_ ~round:_ input =
     {

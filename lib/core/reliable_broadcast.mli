@@ -25,6 +25,18 @@ open Ubpa_util
 module Make (V : Value.S) : sig
   type accepted = { payload : V.t; sender : Node_id.t; accepted_round : int }
 
+  module Pair_map : Map.S with type key = V.t * Node_id.t
+
+  (** Per-node state, readable (not writable) from outside so tests can
+      check {!state_key} against an independent encoding. *)
+  type state = private {
+    my_payload : V.t option;
+    heard_from : Interner.t;  (** senders seen so far; [size] = n_v *)
+    mutable accepted : accepted list;  (** newest first *)
+    mutable accepted_set : int Pair_map.t;  (** pair -> accept round *)
+    mutable local_round : int;  (** rounds since this node joined, from 1 *)
+  }
+
   (** [input] is [Some m] for a designated sender and [None] for the rest.
       [output] is the cumulative list of accepted pairs, oldest first,
       re-delivered on every new acceptance. *)
@@ -33,6 +45,7 @@ module Make (V : Value.S) : sig
       with type input = V.t option
        and type stimulus = Ubpa_sim.Protocol.No_stimulus.t
        and type output = accepted list
+       and type state := state
 
   (** Message constructors are exposed so adversary strategies can forge
       protocol traffic. *)
@@ -52,5 +65,7 @@ module Make (V : Value.S) : sig
   (** Canonical id-space fingerprint: equal keys mean the two states
       behave identically on identical future inboxes (the [accepted] list
       is compared as a set — its order only shows up in the output list,
-      never in a threshold). Feeds the checker's state-hash dedup. *)
+      never in a threshold). Feeds the checker's state-hash dedup. Built in
+      one buffer pass with fixed separators ({!Ubpa_util.Key}), so the
+      bytes never depend on [Format]'s layout. *)
 end

@@ -84,10 +84,10 @@ let copy t =
    rounds: C_v (already ascending), S_v (a set), and the loop index.
    [history] only feeds introspection and [echoers] is an index table, so
    neither belongs in the fingerprint. *)
-let fingerprint t =
-  Fmt.str "c=%a;s=%a;r=%d"
-    Fmt.(list ~sep:comma Node_id.pp)
-    t.c
-    Fmt.(list ~sep:comma Node_id.pp)
-    (Node_id.Set.elements t.s)
-    t.r
+let add_fingerprint b t =
+  Buffer.add_string b "c=";
+  Key.add_list b ~sep:',' Key.add_id t.c;
+  Buffer.add_string b ";s=";
+  Key.add_list b ~sep:',' Key.add_id (Node_id.Set.elements t.s);
+  Buffer.add_string b ";r=";
+  Key.add_int b t.r

@@ -10,7 +10,15 @@
 
 open Ubpa_util
 
-type t
+(** Readable (not writable) from outside so tests can check
+    {!add_fingerprint} against an independent encoding. *)
+type t = private {
+  mutable c : Node_id.t list;  (** candidate coordinators, ascending *)
+  mutable s : Node_id.Set.t;  (** already-selected coordinators *)
+  mutable r : int;  (** loop index, starts at 0 *)
+  mutable history : (int * Node_id.t) list;  (** newest first *)
+  echoers : Interner.t;  (** dense indices for echo senders *)
+}
 
 val create : unit -> t
 
@@ -46,8 +54,8 @@ val selections : t -> (int * Node_id.t) list
 val copy : t -> t
 (** Independent snapshot; stepping the copy never affects the original. *)
 
-val fingerprint : t -> string
-(** Canonical encoding of the dynamics-relevant state ([C_v], [S_v], loop
-    index) in id space: equal fingerprints mean the two rotors behave
-    identically on identical future echoes. Used by the bounded checker's
-    state-hash dedup. *)
+val add_fingerprint : Buffer.t -> t -> unit
+(** Append the canonical encoding of the dynamics-relevant state ([C_v],
+    [S_v], loop index) in id space: equal fingerprints mean the two rotors
+    behave identically on identical future echoes. Part of the bounded
+    checker's state-hash key; fixed separators, no [Format] layout. *)

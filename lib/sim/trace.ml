@@ -57,8 +57,12 @@ let record t ~round ?node ?(kind = Engine) what =
     | taps -> List.iter (fun f -> f e) (List.rev taps)
   end
 
+(* A disabled trace records nothing, so it formats nothing either: the
+   arguments are consumed without calling a single printer. *)
 let recordf t ~round ?node ?kind fmt =
-  Format.kasprintf (fun s -> record t ~round ?node ?kind s) fmt
+  if t.enabled then
+    Format.kasprintf (fun s -> record t ~round ?node ?kind s) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let enabled t = t.enabled
 let events t = List.rev t.events

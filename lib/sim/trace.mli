@@ -52,6 +52,9 @@ val recordf :
   ?kind:kind ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a
+(** [record] with a formatted message. On a disabled trace no printer is
+    called: the arguments are consumed unformatted. Hot paths that would
+    also pay to build the arguments still guard with {!enabled}. *)
 
 val enabled : t -> bool
 (** False only for {!disabled}; lets hot paths skip formatting. *)

@@ -82,7 +82,14 @@ let test_rb_cex_roundtrip () =
 let test_jobs_identical () =
   let run jobs = Ck_rb.check ~jobs ~n:3 ~f:1 ~max_rounds:5 () in
   let a = run 1 and b = run 2 in
-  check_true "full result identical at jobs 1 vs 2 (incl. cex JSONL)" (a = b)
+  check_true "full result identical at jobs 1 vs 2 (incl. cex JSONL)" (a = b);
+  (* The benchmark's symmetry-reduced shape: the per-expansion payload
+     memo must leak nothing between Pool workers. *)
+  let run jobs = Ck_rb.check ~jobs ~symmetry:true ~n:4 ~f:1 ~max_rounds:3 () in
+  let a = run 1 and b = run 2 in
+  check_true "rb n=4 f=1 under symmetry verified"
+    (a.verdict = Verified && a.stats.sym_skips > 0);
+  check_true "and identical at jobs 1 vs 2" (a = b)
 
 let test_symmetry_sound () =
   let on = Ck_rb.check ~symmetry:true ~n:4 ~f:1 ~max_rounds:3 () in
@@ -93,6 +100,248 @@ let test_symmetry_sound () =
   check_int "the full search prunes nothing" 0 off.stats.sym_skips;
   check_true "fewer distinct configs under the reduction"
     (on.stats.distinct < off.stats.distinct)
+
+(* ----- canonical keys: same partition as the Format-built keys ----- *)
+
+(* The RB and consensus keys as they were built with [Fmt] before the
+   one-pass rewrite, kept verbatim as an oracle. Their break hints become
+   newlines (at the last pending hint, and past the margin); the dedup
+   partition they induce is what the new keys must reproduce. *)
+module Oracle = struct
+  module Rb = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String)
+  module Cons = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
+
+  let rb_state_key (st : Rb.state) =
+    let heard = ref [] in
+    Interner.iter st.heard_from (fun _ id -> heard := id :: !heard);
+    let heard = List.sort Node_id.compare !heard in
+    let acc =
+      List.sort
+        (fun (a : Rb.accepted) (b : Rb.accepted) ->
+          match String.compare a.payload b.payload with
+          | 0 -> Node_id.compare a.sender b.sender
+          | c -> c)
+        st.accepted
+    in
+    let pp_acc ppf (a : Rb.accepted) =
+      Fmt.pf ppf "%a/%a@%d" Fmt.string a.payload Node_id.pp a.sender
+        a.accepted_round
+    in
+    Fmt.str "r=%d;p=%a;h=%a;a=%a" st.local_round
+      Fmt.(option ~none:(any "-") string)
+      st.my_payload
+      Fmt.(list ~sep:comma Node_id.pp)
+      heard
+      Fmt.(list ~sep:semi pp_acc)
+      acc
+
+  let rb_output_key out =
+    List.map
+      (fun (a : Rb.accepted) ->
+        Fmt.str "%s/%a@%d" a.payload Node_id.pp a.sender a.accepted_round)
+      out
+    |> List.sort String.compare
+    |> String.concat ";"
+
+  let rotor_fingerprint (t : Unknown_ba.Rotor_core.t) =
+    Fmt.str "c=%a;s=%a;r=%d"
+      Fmt.(list ~sep:comma Node_id.pp)
+      t.c
+      Fmt.(list ~sep:comma Node_id.pp)
+      (Node_id.Set.elements t.s)
+      t.r
+
+  let core_key (t : Cons.Core.t) =
+    let members = ref [] in
+    Interner.iter t.intr (fun _ id -> members := id :: !members);
+    let members = List.sort Node_id.compare !members in
+    let silent =
+      Bitset.fold t.phase_silent ~init:[] ~f:(fun acc ix ->
+          if ix < t.n_v then Interner.extern t.intr ix :: acc else acc)
+      |> List.sort Node_id.compare
+    in
+    let pair_cmp (a, b) (c, d) =
+      match Node_id.compare a c with 0 -> Node_id.compare b d | x -> x
+    in
+    let cands = List.sort pair_cmp t.cand_buffer in
+    let stash =
+      List.sort
+        (fun (a, x) (b, y) ->
+          match Node_id.compare a b with 0 -> Int.compare x y | c -> c)
+        t.strong_stash
+    in
+    let pp_opt_v = Fmt.(option ~none:(any "-") int) in
+    Fmt.str
+      "r=%d;x=%a;n=%d;m=%a;rot=%s;cb=%a;co=%a;ss=%a;si=%a;sp=%a;st=%a;ps=%a"
+      t.local_round Fmt.int t.x_v t.n_v
+      Fmt.(list ~sep:comma Node_id.pp)
+      members
+      (rotor_fingerprint t.rotor)
+      Fmt.(
+        list ~sep:semi (fun ppf (s, p) ->
+            Fmt.pf ppf "%a>%a" Node_id.pp s Node_id.pp p))
+      cands
+      Fmt.(option ~none:(any "-") Node_id.pp)
+      t.coordinator
+      Fmt.(
+        list ~sep:semi (fun ppf (s, x) ->
+            Fmt.pf ppf "%a:%a" Node_id.pp s Fmt.int x))
+      stash pp_opt_v t.sent_input pp_opt_v t.sent_prefer pp_opt_v
+      t.sent_strong
+      Fmt.(list ~sep:comma Node_id.pp)
+      silent
+
+  let cons_state_key (st : Cons.state) =
+    Printf.sprintf "%s;d=%s" (core_key st.core)
+      (match st.decided_phase with None -> "-" | Some p -> string_of_int p)
+end
+
+(* A model whose [state_key] also keeps the state it was asked about:
+   [replay] keys every node's final state, so each replay hands the test
+   the states it reached. *)
+module Recording (M : Ubpa_check.Model.S) = struct
+  include M
+
+  let reached = ref []
+
+  let state_key st =
+    reached := st :: !reached;
+    M.state_key st
+end
+
+module Rec_rb = Recording (Ubpa_check.Models.Rb)
+module Rec_cons = Recording (Ubpa_check.Models.Consensus)
+module Rck_rb = Ubpa_check.Checker.Make (Rec_rb)
+module Rck_cons = Ubpa_check.Checker.Make (Rec_cons)
+
+(* Seeded random adversary scripts: per round, each byz node sends a
+   random palette message to each correct node with probability 1/2, and
+   now and then a crash or a receive-omission lands. *)
+let random_script rng ~palette ~correct ~byzantine ~len =
+  List.init len (fun i ->
+      let opts = palette ~arrival:(i + 2) in
+      let byz =
+        if opts = [] then []
+        else
+          List.concat_map
+            (fun b ->
+              List.filter_map
+                (fun c ->
+                  if Rng.bool rng then Some (b, c, Rng.pick rng opts) else None)
+                correct)
+            byzantine
+      in
+      let crash =
+        if Rng.int rng 10 = 0 then Some (Rng.pick rng correct) else None
+      in
+      let omit =
+        if Rng.int rng 10 = 0 then
+          let src = Rng.pick rng (correct @ byzantine) in
+          let dst = Rng.pick rng correct in
+          if Node_id.equal src dst then None else Some (src, dst)
+        else None
+      in
+      (crash, omit, byz))
+
+(* New-key equality must hold exactly when oracle-key equality holds, over
+   all pairs: the two keyings are then one bijection between their
+   classes, which the two maps below check in one pass. *)
+let same_partition what pairs =
+  let fwd = Hashtbl.create 256 and bwd = Hashtbl.create 256 in
+  check_true (what ^ ": no newline in any key")
+    (List.for_all (fun (k, _) -> not (String.contains k '\n')) pairs);
+  List.iter
+    (fun (k, o) ->
+      (match Hashtbl.find_opt fwd k with
+      | Some o' when o' <> o ->
+          Alcotest.failf "%s: key %S merges oracle classes %S and %S" what k o
+            o'
+      | _ -> Hashtbl.replace fwd k o);
+      match Hashtbl.find_opt bwd o with
+      | Some k' when k' <> k ->
+          Alcotest.failf "%s: oracle class %S split into %S and %S" what o k k'
+      | _ -> Hashtbl.replace bwd o k)
+    pairs;
+  Hashtbl.length fwd
+
+let test_rb_keys_partition () =
+  let rng = Rng.create 2024L in
+  let states = ref [] and outputs = ref [] in
+  List.iter
+    (fun n ->
+      let correct, byzantine = Rck_rb.population ~seed:7L ~n ~f:1 in
+      List.iter
+        (fun (_, inputs) ->
+          let correct_inputs = List.combine correct inputs in
+          for _ = 1 to 150 do
+            let max_rounds = 1 + Rng.int rng 6 in
+            let len = Rng.int rng (max_rounds + 1) in
+            let actions =
+              random_script rng
+                ~palette:(Rec_rb.palette ~correct ~byzantine)
+                ~correct ~byzantine ~len
+              |> List.map (fun (crash, omit, byz) ->
+                     { Rck_rb.crash; omit; byz })
+            in
+            Rec_rb.reached := [];
+            let o =
+              Rck_rb.replay ~max_rounds ~correct:correct_inputs ~byzantine
+                ~actions ()
+            in
+            states := !Rec_rb.reached @ !states;
+            outputs := List.map snd o.outputs @ !outputs
+          done)
+        (Rec_rb.roots ~correct ~byzantine))
+    [ 4; 5 ];
+  let classes =
+    same_partition "rb state_key"
+      (List.map
+         (fun st -> (Rec_rb.state_key st, Oracle.rb_state_key st))
+         !states)
+  in
+  check_true "the scripts reach many distinct states" (classes > 100);
+  let out_classes =
+    same_partition "rb output_key"
+      (List.map
+         (fun o -> (Rec_rb.output_key o, Oracle.rb_output_key o))
+         !outputs)
+  in
+  check_true "and several distinct outputs" (out_classes > 3)
+
+let test_consensus_keys_partition () =
+  let rng = Rng.create 2025L in
+  let states = ref [] in
+  List.iter
+    (fun n ->
+      let correct, byzantine = Rck_cons.population ~seed:7L ~n ~f:1 in
+      List.iter
+        (fun (_, inputs) ->
+          let correct_inputs = List.combine correct inputs in
+          for _ = 1 to 100 do
+            let max_rounds = 1 + Rng.int rng 6 in
+            let len = Rng.int rng (max_rounds + 1) in
+            let actions =
+              random_script rng
+                ~palette:(Rec_cons.palette ~correct ~byzantine)
+                ~correct ~byzantine ~len
+              |> List.map (fun (crash, omit, byz) ->
+                     { Rck_cons.crash; omit; byz })
+            in
+            Rec_cons.reached := [];
+            ignore
+              (Rck_cons.replay ~max_rounds ~correct:correct_inputs ~byzantine
+                 ~actions ());
+            states := !Rec_cons.reached @ !states
+          done)
+        (Rec_cons.roots ~correct ~byzantine))
+    [ 4; 5 ];
+  let classes =
+    same_partition "consensus state_key"
+      (List.map
+         (fun st -> (Rec_cons.state_key st, Oracle.cons_state_key st))
+         !states)
+  in
+  check_true "the scripts reach many distinct states" (classes > 100)
 
 (* ----- golden: the committed boundary counterexample ----- *)
 
@@ -215,6 +464,9 @@ let suite =
       quick "consensus boundary violation replays" test_consensus_violation;
       quick "rb counterexample JSONL round-trips" test_rb_cex_roundtrip;
       quick "jobs 1 vs 2 byte-identical" test_jobs_identical;
+      quick "rb keys: same partition as the Fmt oracle" test_rb_keys_partition;
+      quick "consensus keys: same partition as the Fmt oracle"
+        test_consensus_keys_partition;
       slow "symmetry reduction is sound" test_symmetry_sound;
       quick "committed CEX_MC1.jsonl golden" test_committed_cex_golden;
       quick "differential: engine vs checker (halting)"

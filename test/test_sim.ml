@@ -271,6 +271,32 @@ let test_trace_records () =
     && Trace.find trace ~f:(fun e -> e.Trace.kind = Trace.Send) <> None
     && Trace.find trace ~f:(fun e -> e.Trace.kind = Trace.Halt) <> None)
 
+(* A disabled trace must not call a single printer; an enabled one records
+   exactly the text Format would have produced. *)
+let test_recordf_disabled_formats_nothing () =
+  let calls = ref 0 in
+  let pp_boom _ppf () =
+    incr calls;
+    failwith "printer called on a disabled trace"
+  in
+  Trace.recordf Trace.disabled ~round:1 ~node:(Node_id.of_int 3)
+    ~kind:Trace.Send "send %a to %d" pp_boom () 7;
+  check_int "no printer ran" 0 !calls;
+  check_int "nothing recorded" 0 (List.length (Trace.events Trace.disabled));
+  let tr = Trace.create () in
+  let pp_list = Fmt.(list ~sep:comma Node_id.pp) in
+  let ids = List.map Node_id.of_int [ 11; 22; 33 ] in
+  Trace.recordf tr ~round:2 ~kind:Trace.Fault "drop %a: %s %d" pp_list ids
+    "x" 5;
+  match Trace.events tr with
+  | [ e ] ->
+      Alcotest.(check string)
+        "enabled trace records the formatted text"
+        (Format.asprintf "drop %a: %s %d" pp_list ids "x" 5)
+        e.Trace.what;
+      check_true "round and kind kept" (e.round = 2 && e.kind = Trace.Fault)
+  | evs -> Alcotest.failf "expected one event, got %d" (List.length evs)
+
 let test_trace_json () =
   let trace = Trace.create () in
   let correct = List.map (fun id -> (id, { Probe.lifetime = 2 })) (ids 2) in
@@ -337,6 +363,8 @@ let suite =
       quick "metrics JSON round-trip" test_metrics_json_roundtrip;
       quick "trace records engine events" test_trace_records;
       quick "trace events serialize to JSON/JSONL" test_trace_json;
+      quick "recordf on a disabled trace formats nothing"
+        test_recordf_disabled_formats_nothing;
       quick "reports carry decision rounds" test_decision_round_reported;
       quick "run_until stops on predicate" test_run_until;
     ] )

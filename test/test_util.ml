@@ -166,10 +166,42 @@ let test_max_f () =
     check_false "maximal" (n > 3 * (f + 1))
   done
 
+(* Key writers print ids and integers exactly as %d / Node_id.pp do, and
+   [Key.memo] never turns a break hint into a newline (a bare [Fmt.str]
+   breaks at the last pending hint, however short the text). *)
+let test_key_writers () =
+  let b = Buffer.create 16 in
+  List.iter
+    (fun n ->
+      Buffer.clear b;
+      Key.add_int b n;
+      Alcotest.(check string) "add_int is %d" (string_of_int n)
+        (Buffer.contents b))
+    [ 0; 7; 10; 1_073_741_823; -1; -42; max_int; min_int ];
+  let ids = List.map Node_id.of_int [ 422710743; 658385355; 706617818 ] in
+  Buffer.clear b;
+  Key.add_list b ~sep:',' Key.add_id ids;
+  Alcotest.(check string) "ids as Node_id.pp, fixed separator"
+    (String.concat "," (List.map (Fmt.str "%a" Node_id.pp) ids))
+    (Buffer.contents b);
+  let pp = Fmt.(list ~sep:comma Node_id.pp) in
+  let long = ids @ ids @ ids @ ids in
+  let text = Key.memo Stdlib.compare pp in
+  Alcotest.(check string) "memo keeps a short list on one line"
+    "#422710743, #658385355, #706617818" (text ids);
+  let s = text long in
+  check_true "and a list far past the margin" (not (String.contains s '\n'));
+  check_true "memoized: the same string back" (text long == s);
+  let nested = Key.memo Stdlib.compare Fmt.(list ~sep:sp (box pp)) in
+  check_true "nested boxes stay on the line too"
+    (not (String.contains (nested [ long; long; long ]) '\n'))
+
 let suite =
   ( "util",
     [
       quick "threshold: exact rational comparisons" test_threshold_exact;
+      quick "key: writers match %d and Node_id.pp, memo never wraps"
+        test_key_writers;
       quick "threshold: lt_third is the negation" test_threshold_negation;
       quick "threshold: floor_third" test_floor_third;
       quick "node_id: scatter is distinct and non-consecutive"
