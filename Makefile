@@ -146,21 +146,28 @@ runtime-chaos:
 
 # Peak heap across the major GC's pacing: one untraced seed-1 instance
 # of perfbench workload W per space_overhead setting (OCAMLRUNPARAM o),
-# printing each top_heap_mb, then the min and max. Peak heap moves with
-# where the last major slice lands, so a heap claim should hold across
-# the whole sweep: `make heap-sweep W=consensus-byz-faults`.
+# printing each top_heap_mb, then one labelled min/max line. Peak heap
+# moves with where the last major slice lands, so a heap claim should hold
+# across the whole sweep: `make heap-sweep W=consensus-byz-faults`, or
+# `make heap-sweep W=all` for every workload BENCHMARK.json declares.
+HEAP_WORKLOADS = $(if $(filter all,$(W)),$(shell python3 -c 'import json; \
+	print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'),$(W))
+
 heap-sweep:
-	@test -n "$(W)" || { echo "usage: make heap-sweep W=<workload>" >&2; exit 2; }
+	@test -n "$(W)" || { echo "usage: make heap-sweep W=<workload>|all" >&2; exit 2; }
 	dune build ./perfbench/bench.exe
-	@for o in 110 115 120 125 130; do \
-		printf 'o=%s ' $$o; \
-		OCAMLRUNPARAM=o=$$o ./_build/default/perfbench/bench.exe \
-			--workload $(W) --seed 1 --trace 0 | tail -n 1 | \
-			python3 -c 'import json,sys; print(json.load(sys.stdin)["gc"]["top_heap_mb"])' \
+	@for w in $(HEAP_WORKLOADS); do \
+		for o in 110 115 120 125 130; do \
+			printf '%s o=%s ' $$w $$o; \
+			OCAMLRUNPARAM=o=$$o ./_build/default/perfbench/bench.exe \
+				--workload $$w --seed 1 --trace 0 | tail -n 1 | \
+				python3 -c 'import json,sys; print(json.load(sys.stdin)["gc"]["top_heap_mb"])' \
+				|| exit 1; \
+		done | awk -v w=$$w '{ print; v = $$3 + 0; \
+			if (NR == 1 || v < lo) lo = v; if (NR == 1 || v > hi) hi = v } \
+			END { if (NR != 5) exit 1; printf "%s min %s max %s\n", w, lo, hi }' \
 			|| exit 1; \
-	done | awk '{ print; v = $$2 + 0; \
-		if (NR == 1 || v < lo) lo = v; if (NR == 1 || v > hi) hi = v } \
-		END { if (NR != 5) exit 1; printf "min %s max %s\n", lo, hi }'
+	done
 
 fmt:
 	dune build @fmt --auto-promote

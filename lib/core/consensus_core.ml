@@ -174,14 +174,15 @@ module Make (V : Value.S) = struct
      membership is frozen and the inbox is filtered to members, so every
      sender already has a dense index. *)
   let tally_with_substitution t ~extract ~my_send ~eligible inbox =
-    let tally = Tally.create_dense ~compare:V.compare ~interner:t.intr () in
+    let tally = Tally.create ~compare:V.compare ~interner:t.intr () in
     let spoke = Bitset.create ~hint:t.n_v () in
     List.iter
       (fun (src, msg) ->
         match extract msg with
         | Some x ->
-            Bitset.add spoke (Interner.intern t.intr src);
-            Tally.add tally ~sender:src x
+            let ix = Interner.intern t.intr src in
+            Bitset.add spoke ix;
+            Tally.add_index tally ix x
         | None -> ())
       inbox;
     (match my_send with
@@ -189,7 +190,7 @@ module Make (V : Value.S) = struct
     | Some x ->
         for ix = 0 to t.n_v - 1 do
           if eligible ix && not (Bitset.mem spoke ix) then
-            Tally.add tally ~sender:(Interner.extern t.intr ix) x
+            Tally.add_index tally ix x
         done);
     (tally, spoke)
 
@@ -315,24 +316,21 @@ module Make (V : Value.S) = struct
                from position 4's inbox; the coordinator's opinion arrives
                now. *)
             let tally =
-              let tly =
-                Tally.create_dense ~compare:V.compare ~interner:t.intr ()
-              in
+              let tly = Tally.create ~compare:V.compare ~interner:t.intr () in
+              let spoke = Bitset.create ~hint:t.n_v () in
               List.iter
-                (fun (src, x) -> Tally.add tly ~sender:src x)
+                (fun (src, x) ->
+                  let ix = Interner.intern t.intr src in
+                  Bitset.add spoke ix;
+                  Tally.add_index tly ix x)
                 t.strong_stash;
               (* Substitute my own strongprefer for phase-silent members. *)
               (match t.sent_strong with
               | None -> ()
               | Some x ->
-                  let spoke = Bitset.create ~hint:t.n_v () in
-                  List.iter
-                    (fun (src, _) ->
-                      Bitset.add spoke (Interner.intern t.intr src))
-                    t.strong_stash;
                   for ix = 0 to t.n_v - 1 do
                     if Bitset.mem t.phase_silent ix && not (Bitset.mem spoke ix)
-                    then Tally.add tly ~sender:(Interner.extern t.intr ix) x
+                    then Tally.add_index tly ix x
                   done);
               tly
             in

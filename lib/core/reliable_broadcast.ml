@@ -103,12 +103,11 @@ module Make (V : Value.S) = struct
 
   let step ~self:_ ~round ~stim:_ st ~inbox =
     st.local_round <- st.local_round + 1;
-    note_senders st inbox;
-    let n_v = Interner.size st.heard_from in
     match st.local_round with
     | 1 ->
         (* Round 1: designated senders broadcast their payload, everyone
            else announces presence so that n_v >= g at every node. *)
+        note_senders st inbox;
         let send =
           match st.my_payload with
           | Some m -> Payload m
@@ -117,6 +116,7 @@ module Make (V : Value.S) = struct
         (st, [ (Envelope.Broadcast, send) ], Protocol.Continue)
     | 2 ->
         (* Round 2: echo payloads received directly from their sender. *)
+        note_senders st inbox;
         let sends =
           List.filter_map
             (fun (src, msg) ->
@@ -127,16 +127,20 @@ module Make (V : Value.S) = struct
         in
         (st, sends, Protocol.Continue)
     | _ ->
-        (* Rounds >= 3: per-round echo tallies against n_v thresholds. *)
+        (* Rounds >= 3: per-round echo tallies against n_v thresholds. One
+           pass notes every sender and tallies its echo under the dense
+           index it was just given. *)
         let tally =
-          Tally.create_dense ~compare:Pair.compare ~interner:st.heard_from ()
+          Tally.create ~compare:Pair.compare ~interner:st.heard_from ()
         in
         List.iter
           (fun (src, msg) ->
+            let ix = Interner.intern st.heard_from src in
             match msg with
-            | Echo (m, s) -> Tally.add tally ~sender:src (m, s)
+            | Echo (m, s) -> Tally.add_index tally ix (m, s)
             | Payload _ | Present -> ())
           inbox;
+        let n_v = Interner.size st.heard_from in
         let sends = ref [] in
         let newly_accepted = ref false in
         List.iter

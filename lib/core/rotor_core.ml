@@ -25,9 +25,7 @@ type step_result = {
 }
 
 let rotor_round t ~self ~n_v ~echoes =
-  let tally =
-    Tally.create_dense ~compare:Node_id.compare ~interner:t.echoers ()
-  in
+  let tally = Tally.create ~compare:Node_id.compare ~interner:t.echoers () in
   List.iter (fun (sender, p) -> Tally.add tally ~sender p) echoes;
   let fresh p = not (List.exists (Node_id.equal p) t.c) in
   (* B_v gathers re-echoes for candidates past n_v/3 (reliable-broadcast

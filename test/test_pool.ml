@@ -1,7 +1,7 @@
 (* The multicore sweep executor and the dense-index primitives it feeds:
    Pool.map must be List.map with workers (same results, same order, same
-   exception), and Interner/Bitset/dense Tally must be observably identical
-   to the sparse structures they replace. *)
+   exception), and Interner and Tally must be observably identical, down to
+   iteration order, to the hashtable and list structures they replace. *)
 
 open Ubpa_util
 open Ubpa_harness
@@ -209,40 +209,225 @@ let test_arena_basics () =
     (Invalid_argument "Arena.get: index 0 out of 0..-1") (fun () ->
       ignore (Arena.get a 0))
 
-(* ----- dense Tally vs sparse Tally ----- *)
+(* ----- Interner vs Hashtbl model ----- *)
 
-let prop_tally_dense_equals_sparse =
-  QCheck2.Test.make ~count:100
-    ~name:"dense tally observationally equals sparse tally"
+(* The chained-hashtable interner the open-addressing table replaced, kept
+   as the oracle: same contract, different layout. *)
+module Model_interner = struct
+  type t = {
+    tbl : (int, int) Hashtbl.t;
+    mutable ids : Node_id.t array;
+    mutable size : int;
+  }
+
+  let create () = { tbl = Hashtbl.create 16; ids = [||]; size = 0 }
+
+  let intern t id =
+    let raw = Node_id.to_int id in
+    match Hashtbl.find t.tbl raw with
+    | ix -> ix
+    | exception Not_found ->
+        let ix = t.size in
+        Hashtbl.add t.tbl raw ix;
+        t.ids <- Array.append t.ids [| id |];
+        t.size <- t.size + 1;
+        ix
+
+  let copy t =
+    { tbl = Hashtbl.copy t.tbl; ids = Array.copy t.ids; size = t.size }
+  let find_opt t id = Hashtbl.find_opt t.tbl (Node_id.to_int id)
+  let mem t id = Hashtbl.mem t.tbl (Node_id.to_int id)
+  let extern t ix = t.ids.(ix)
+  let size t = t.size
+
+  let iter t f =
+    for ix = 0 to t.size - 1 do
+      f ix t.ids.(ix)
+    done
+end
+
+(* Raw ids that stress the table: 0, the extremes, negatives, and runs of
+   ids equal modulo every power-of-two capacity up to 2^20. *)
+let gen_raw_id =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 ]);
+        (3, map2 (fun k j -> k lsl j) (int_range (-40) 40) (int_range 3 20));
+        ( 2,
+          map2 (fun k c -> (k lsl 10) + c) (int_range (-64) 64) (int_bound 3)
+        );
+        (3, int_range (-500) 500);
+        (1, int);
+      ])
+
+let interner_agrees intr model =
+  Interner.size intr = Model_interner.size model
+  &&
+  let listed iter t =
+    let acc = ref [] in
+    iter t (fun ix id -> acc := (ix, Node_id.to_int id) :: !acc);
+    List.rev !acc
+  in
+  listed Interner.iter intr = listed Model_interner.iter model
+  && List.for_all
+       (fun ix ->
+         Node_id.equal (Interner.extern intr ix)
+           (Model_interner.extern model ix))
+       (List.init (Interner.size intr) Fun.id)
+
+type interner_op = Intern of int | Lookup of int
+
+let prop_interner_matches_model =
+  QCheck2.Test.make ~count:300
+    ~name:"Interner matches a Hashtbl model across rehashes"
     QCheck2.Gen.(
-      list_size (int_range 0 80) (pair (int_bound 15) (int_bound 5)))
-    (fun events ->
+      list_size (int_range 0 600)
+        (map2
+           (fun intern raw -> if intern then Intern raw else Lookup raw)
+           (frequencyl [ (3, true); (1, false) ])
+           gen_raw_id))
+    (fun ops ->
+      let intr = Interner.create ~hint:1 () in
+      let model = Model_interner.create () in
+      List.for_all
+        (fun op ->
+          match op with
+          | Intern raw ->
+              let id = Node_id.of_int raw in
+              Interner.intern intr id = Model_interner.intern model id
+          | Lookup raw ->
+              let id = Node_id.of_int raw in
+              Interner.find_opt intr id = Model_interner.find_opt model id
+              && Interner.mem intr id = Model_interner.mem model id)
+        ops
+      && interner_agrees intr model)
+
+let prop_interner_copy_independent =
+  QCheck2.Test.make ~count:200
+    ~name:"Interner.copy is independent after growth on both sides"
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 100) gen_raw_id)
+        (list_size (int_range 0 200) gen_raw_id)
+        (list_size (int_range 0 200) gen_raw_id))
+    (fun (shared, left, right) ->
+      (* Disjoint branches: the copy only ever sees ids the original never
+         interns, and vice versa. *)
+      let right = List.filter (fun r -> not (List.mem r left)) right in
+      let left = List.filter (fun r -> not (List.mem r right)) left in
+      let orig = Interner.create () and model = Model_interner.create () in
+      List.iter
+        (fun r ->
+          ignore (Interner.intern orig (Node_id.of_int r));
+          ignore (Model_interner.intern model (Node_id.of_int r)))
+        shared;
+      let branch = Interner.copy orig in
+      let branch_model = Model_interner.copy model in
+      List.iter
+        (fun r ->
+          ignore (Interner.intern orig (Node_id.of_int r));
+          ignore (Model_interner.intern model (Node_id.of_int r)))
+        left;
+      List.iter
+        (fun r ->
+          ignore (Interner.intern branch (Node_id.of_int r));
+          ignore (Model_interner.intern branch_model (Node_id.of_int r)))
+        right;
+      let unseen_by intr own other =
+        List.for_all
+          (fun r ->
+            List.mem r own || not (Interner.mem intr (Node_id.of_int r)))
+          other
+      in
+      interner_agrees orig model
+      && interner_agrees branch branch_model
+      && unseen_by orig (shared @ left) right
+      && unseen_by branch (shared @ right) left)
+
+(* ----- Tally vs the list-based tally, exact order ----- *)
+
+(* The list-based tally [Tally] used before contents were indexed, kept as
+   the oracle. Entries are newest first and every lookup is a scan. *)
+module List_tally = struct
+  type 'k t = {
+    compare : 'k -> 'k -> int;
+    mutable entries : ('k * Node_id.Set.t ref) list;
+  }
+
+  let create ~compare = { compare; entries = [] }
+  let find t k = List.find_opt (fun (k', _) -> t.compare k k' = 0) t.entries
+
+  let add t ~sender k =
+    match find t k with
+    | Some (_, ss) -> ss := Node_id.Set.add sender !ss
+    | None -> t.entries <- (k, ref (Node_id.Set.singleton sender)) :: t.entries
+
+  let count t k =
+    match find t k with Some (_, ss) -> Node_id.Set.cardinal !ss | None -> 0
+
+  let senders t k =
+    match find t k with None -> [] | Some (_, ss) -> Node_id.Set.elements !ss
+
+  let contents t = List.map fst t.entries
+
+  let max_by_count t =
+    let best acc (k, ss) =
+      let c = Node_id.Set.cardinal !ss in
+      match acc with
+      | None -> Some (k, c)
+      | Some (k', c') ->
+          if c > c' || (c = c' && t.compare k k' < 0) then Some (k, c) else acc
+    in
+    List.fold_left best None t.entries
+
+  let meeting t ~threshold =
+    List.filter_map
+      (fun (k, ss) ->
+        if threshold (Node_id.Set.cardinal !ss) then Some k else None)
+      t.entries
+end
+
+let prop_tally_matches_list_oracle =
+  QCheck2.Test.make ~count:300
+    ~name:"tally equals the list-tally oracle in exact order"
+    QCheck2.Gen.(
+      pair bool
+        (list_size (int_range 0 120) (pair (int_bound 15) (int_bound 40))))
+    (fun (coarse, events) ->
+      (* [coarse] makes distinct integers the same content (x/3), so the
+         first-seen representative must win, as in the oracle. *)
+      let compare =
+        if coarse then fun a b -> Int.compare (a / 3) (b / 3) else Int.compare
+      in
       let ids = Node_id.scatter ~seed:55L 16 in
       let id_of i = List.nth ids i in
-      let sparse = Tally.create ~compare:Int.compare () in
+      let oracle = List_tally.create ~compare in
+      let own = Tally.create ~compare () in
       let intr = Interner.create () in
-      let dense = Tally.create_dense ~compare:Int.compare ~interner:intr () in
+      let shared = Tally.create ~compare ~interner:intr () in
       List.iter
         (fun (sender_ix, content) ->
-          Tally.add sparse ~sender:(id_of sender_ix) content;
-          Tally.add dense ~sender:(id_of sender_ix) content)
+          let sender = id_of sender_ix in
+          List_tally.add oracle ~sender content;
+          Tally.add own ~sender content;
+          Tally.add_index shared (Interner.intern intr sender) content)
         events;
-      let contents = List.sort compare (Tally.contents sparse) in
-      let sorted_senders t k =
-        List.sort Node_id.compare (Tally.senders t k)
+      let agrees t =
+        Tally.contents t = List_tally.contents oracle
+        && Tally.max_by_count t = List_tally.max_by_count oracle
+        && List.for_all
+             (fun k ->
+               Tally.count t k = List_tally.count oracle k
+               && Tally.senders t k = List_tally.senders oracle k)
+             (List.init 42 Fun.id)
+        && List.for_all
+             (fun thr ->
+               Tally.meeting t ~threshold:(fun c -> c >= thr)
+               = List_tally.meeting oracle ~threshold:(fun c -> c >= thr))
+             [ 1; 2; 3; 5 ]
       in
-      List.sort compare (Tally.contents dense) = contents
-      && List.for_all
-           (fun k ->
-             Tally.count sparse k = Tally.count dense k
-             && sorted_senders sparse k = sorted_senders dense k)
-           contents
-      && Tally.max_by_count sparse = Tally.max_by_count dense
-      && List.for_all
-           (fun thr ->
-             List.sort compare (Tally.meeting sparse ~threshold:(fun c -> c >= thr))
-             = List.sort compare (Tally.meeting dense ~threshold:(fun c -> c >= thr)))
-           [ 1; 2; 4 ])
+      agrees own && agrees shared)
 
 let suite =
   ( "pool+dense-index",
@@ -259,5 +444,11 @@ let suite =
       quick "Bitset.clear keeps capacity" test_bitset_clear;
       quick "Arena push/get/clear/reset" test_arena_basics;
     ]
-    @ qcheck_cases [ prop_pool_matches_list_map; prop_tally_dense_equals_sparse ]
+    @ qcheck_cases
+        [
+          prop_pool_matches_list_map;
+          prop_tally_matches_list_oracle;
+          prop_interner_matches_model;
+          prop_interner_copy_independent;
+        ]
   )
