@@ -51,7 +51,15 @@ let target_subset ~fraction inner =
             | Envelope.To t ->
                 if List.exists (Node_id.equal t) targets then
                   [ (Envelope.To t, payload) ]
-                else [])
+                else []
+            | Envelope.Multicast group ->
+                let kept =
+                  List.filter
+                    (fun t -> Array.exists (Node_id.equal t) group)
+                    targets
+                in
+                if kept = [] then []
+                else [ (Envelope.Multicast (Array.of_list kept), payload) ])
           (act view))
 
 let with_probability p inner =

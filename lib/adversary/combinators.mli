@@ -18,9 +18,11 @@ val only_rounds : (int -> bool) -> 'm Strategy.t -> 'm Strategy.t
     stay silent otherwise. *)
 
 val target_subset : fraction:float -> 'm Strategy.t -> 'm Strategy.t
-(** Re-route every send of the inner strategy (including broadcasts) to
-    point-to-point deliveries covering only the first [fraction] of the
-    correct nodes — turns any attack into a partial-visibility attack. *)
+(** Re-route every send of the inner strategy to the first [fraction] of
+    the correct nodes: a broadcast becomes one unicast per target, a
+    unicast survives only to a target, a multicast keeps only its
+    targeted members — turns any attack into a partial-visibility
+    attack. *)
 
 val with_probability : float -> 'm Strategy.t -> 'm Strategy.t
 (** Flip a (seeded, per-node) coin each round; act only on heads. *)

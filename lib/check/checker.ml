@@ -284,7 +284,15 @@ module Make (M : Model.S) = struct
     Buffer.add_string b "->";
     (match env.dst with
     | Envelope.Broadcast -> Buffer.add_char b '*'
-    | Envelope.To id -> Key.add_id b id);
+    | Envelope.To id -> Key.add_id b id
+    | Envelope.Multicast group ->
+        Buffer.add_char b '{';
+        Array.iteri
+          (fun i id ->
+            if i > 0 then Buffer.add_char b ',';
+            Key.add_id b id)
+          group;
+        Buffer.add_char b '}');
     Buffer.add_char b ':';
     Buffer.add_string b (text env.payload)
 

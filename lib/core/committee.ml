@@ -26,57 +26,114 @@ let attestor_size n = min (committee_size n) (max 3 (2 * ceil_log2 n))
 (* [count] distinct indices in [0, bound) by rejection — O(count) expected
    draws while count is well below bound (committees are ~2√n of n;
    attestor sets ~2·log n of k), degrading gracefully to coupon-collector
-   cost only on toy populations where count ≈ bound. *)
+   cost only on toy populations where count ≈ bound. Ascending. *)
 let sample_indices rng ~bound ~count =
-  let seen = Hashtbl.create (4 * count) in
-  let rec draw acc got =
-    if got = count then acc
-    else
+  if count <= 0 || bound <= 0 then [||]
+  else begin
+    let seen = Bytes.make bound '\000' in
+    let out = Array.make count 0 in
+    let got = ref 0 in
+    while !got < count do
       let i = Rng.int rng bound in
-      if Hashtbl.mem seen i then draw acc got
-      else begin
-        Hashtbl.add seen i ();
-        draw (i :: acc) (got + 1)
+      if Bytes.unsafe_get seen i = '\000' then begin
+        Bytes.unsafe_set seen i '\001';
+        out.(!got) <- i;
+        incr got
       end
-  in
-  if count <= 0 || bound <= 0 then [] else draw [] 0
+    done;
+    Array.sort Int.compare out;
+    out
+  end
 
-let member_indices ~seed ~n =
-  let rng = derive ~seed ~tag:committee_tag ~salt:0 in
-  sample_indices rng ~bound:n ~count:(committee_size n)
-
-let members ~seed ~universe =
-  let u = Array.of_list (Node_id.sorted universe) in
-  member_indices ~seed ~n:(Array.length u)
-  |> List.map (Array.get u)
-  |> Node_id.sorted
-
-(* Indices into the *sorted committee* of the q members node [self]
+(* Indices into the *sorted committee* of the members node [self]
    samples as its attestors. Keyed by the public seed and the sampler's
    own identifier, so every node can recompute anyone's attestor set. *)
 let attestor_indices ~seed ~n ~k ~self =
   let rng = derive ~seed ~tag:attestor_tag ~salt:(Node_id.to_int self) in
   sample_indices rng ~bound:k ~count:(min k (attestor_size n))
 
+type sample = {
+  seed : int64;
+  universe : Node_id.t array;
+  committee : Node_id.t array;
+  committee_list : Node_id.t list;
+  committee_set : Node_id.Set.t;
+  attestors : Node_id.t array array;
+  audiences : Node_id.t list array;
+}
+
+let sample ~seed ~universe =
+  let u = Array.of_list (Node_id.sorted universe) in
+  let n = Array.length u in
+  let committee =
+    Array.map (Array.get u)
+      (sample_indices
+         (derive ~seed ~tag:committee_tag ~salt:0)
+         ~bound:n ~count:(committee_size n))
+  in
+  let k = Array.length committee in
+  let att_ix = Array.map (fun self -> attestor_indices ~seed ~n ~k ~self) u in
+  (* Walking observers in descending order prepends each one, so every
+     audience comes out ascending. *)
+  let audiences = Array.make k [] in
+  for o = n - 1 downto 0 do
+    Array.iter (fun a -> audiences.(a) <- u.(o) :: audiences.(a)) att_ix.(o)
+  done;
+  let committee_list = Array.to_list committee in
+  {
+    seed;
+    universe = u;
+    committee;
+    committee_list;
+    committee_set = Node_id.Set.of_list committee_list;
+    attestors = Array.map (Array.map (Array.get committee)) att_ix;
+    audiences;
+  }
+
+(* One entry: the sample for the last (seed, universe) asked for, the
+   universe compared physically so a hit costs no list walk. Published
+   whole through the atomic, so a domain reads either the old entry or
+   the new one, never a partly built one; racing misses only rebuild. *)
+let memo : (int64 * Node_id.t list * sample) option Atomic.t = Atomic.make None
+
+let shared ~seed ~universe =
+  match Atomic.get memo with
+  | Some (s, u, smp) when Int64.equal s seed && u == universe -> smp
+  | _ ->
+      let smp = sample ~seed ~universe in
+      Atomic.set memo (Some (seed, universe, smp));
+      smp
+
+(* Position of [id] in the ascending array [a], or -1. *)
+let find_sorted a id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Node_id.compare a.(mid) id in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let is_member s id = Node_id.Set.mem id s.committee_set
+
+let attestors_of s self =
+  let i = find_sorted s.universe self in
+  if i >= 0 then s.attestors.(i)
+  else
+    (* Outside the universe: the same public draw, made on demand. *)
+    Array.map (Array.get s.committee)
+      (attestor_indices ~seed:s.seed ~n:(Array.length s.universe)
+         ~k:(Array.length s.committee) ~self)
+
+let audience_of s member =
+  let i = find_sorted s.committee member in
+  if i >= 0 then s.audiences.(i) else []
+
+let members ~seed ~universe = (shared ~seed ~universe).committee_list
+
 let attestors ~seed ~universe ~self =
-  let committee = Array.of_list (members ~seed ~universe) in
-  let n = List.length universe and k = Array.length committee in
-  attestor_indices ~seed ~n ~k ~self
-  |> List.map (Array.get committee)
-  |> Node_id.sorted
+  Array.to_list (attestors_of (shared ~seed ~universe) self)
 
 let audience ~seed ~universe ~member =
-  let u = Node_id.sorted universe in
-  let committee = Array.of_list (members ~seed ~universe) in
-  let n = List.length u and k = Array.length committee in
-  let member_idx = ref (-1) in
-  Array.iteri
-    (fun i id -> if Node_id.equal id member then member_idx := i)
-    committee;
-  if !member_idx < 0 then []
-  else
-    List.filter
-      (fun o ->
-        List.exists (Int.equal !member_idx)
-          (attestor_indices ~seed ~n ~k ~self:o))
-      u
+  audience_of (shared ~seed ~universe) member

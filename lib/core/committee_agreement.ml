@@ -44,79 +44,67 @@ module Make (V : Value.S) = struct
 
   let kind = function Inner _ -> "inner" | Report _ -> "report"
 
-  type member_state = {
-    core : Core.t;
-    committee : Node_id.Set.t;
-    committee_list : Node_id.t list;
-  }
-
   type observer_state = {
     value : V.t;
-    attestors : Node_id.Set.t;
+    attestors : Node_id.t array;  (** ascending *)
     q : int;
     deadline : int;
     mutable reports : (Node_id.t * V.t) list;
         (** first report kept per attestor *)
   }
 
-  type role = Member of member_state | Observer of observer_state
+  type role = Member of Core.t | Observer of observer_state
 
   type state = {
-    seed : int64;
-    universe : Node_id.t list;
+    sample : Committee.sample;  (** shared by every node of the run *)
     role : role;
     mutable decided : V.t option;
   }
 
   let init ~self ~round:_ (input : input) =
-    let universe = Node_id.sorted input.universe in
-    let committee_list = Committee.members ~seed:input.seed ~universe in
-    let committee = Node_id.Set.of_list committee_list in
+    let sample = Committee.shared ~seed:input.seed ~universe:input.universe in
     let role =
-      if Node_id.Set.mem self committee then
-        Member
-          { core = Core.create ~self ~input:input.value; committee;
-            committee_list }
+      if Committee.is_member sample self then
+        Member (Core.create ~self ~input:input.value)
       else
-        let att =
-          Committee.attestors ~seed:input.seed ~universe ~self
-        in
+        let attestors = Committee.attestors_of sample self in
         Observer
           {
             value = input.value;
-            attestors = Node_id.Set.of_list att;
-            q = List.length att;
-            deadline = fallback_deadline ~k:(List.length committee_list);
+            attestors;
+            q = Array.length attestors;
+            deadline = fallback_deadline ~k:(Array.length sample.committee);
             reports = [];
           }
     in
-    { seed = input.seed; universe; role; decided = None }
+    { sample; role; decided = None }
 
-  (* The consensus core speaks in broadcasts; the overlay rewrites each
-     one into k addressed unicasts — the committee plus the sender
-     itself, preserving the dense engine's own-broadcast delivery — so a
-     member's per-round fan-out is the committee, never the population. *)
-  let to_committee (m : member_state) sends =
-    List.concat_map
+  (* The consensus core speaks in broadcasts; the overlay turns each one
+     into one multicast to the committee — the sender included,
+     preserving the dense engine's own-broadcast delivery — so a
+     member's per-round fan-out is the committee, never the population.
+     Every member multicasts to the sample's one committee array, so the
+     delivery core builds its audience once per round. *)
+  let to_committee st sends =
+    List.map
       (fun (dest, msg) ->
         match dest with
         | Envelope.Broadcast ->
-            List.map (fun peer -> (Envelope.To peer, Inner msg))
-              m.committee_list
-        | Envelope.To p -> [ (Envelope.To p, Inner msg) ])
+            (Envelope.Multicast st.sample.committee, Inner msg)
+        | dest -> (dest, Inner msg))
       sends
 
-  let step_member st (m : member_state) ~self ~inbox =
+  let step_member st core ~self ~inbox =
     let inner_inbox =
       List.filter_map
         (fun (src, msg) ->
           match msg with
-          | Inner im when Node_id.Set.mem src m.committee -> Some (src, im)
+          | Inner im when Committee.is_member st.sample src -> Some (src, im)
           | Inner _ | Report _ -> None)
         inbox
     in
-    let sends, status = Core.step m.core ~inbox:inner_inbox in
-    let sends = to_committee m sends in
+    let sends, status = Core.step core ~inbox:inner_inbox in
+    let sends = to_committee st sends in
     match status with
     | Core.Running -> (st, sends, Protocol.Continue)
     | Core.Decided v ->
@@ -124,9 +112,7 @@ module Make (V : Value.S) = struct
            sampled this member as an attestor — Õ(√n) unicasts — then
            halt. Sends returned alongside [Stop] are still delivered. *)
         st.decided <- Some v;
-        let listeners =
-          Committee.audience ~seed:st.seed ~universe:st.universe ~member:self
-        in
+        let listeners = Committee.audience_of st.sample self in
         let reports =
           List.map (fun o -> (Envelope.To o, Report v)) listeners
         in
@@ -162,7 +148,7 @@ module Make (V : Value.S) = struct
       (fun (src, msg) ->
         match msg with
         | Report v
-          when Node_id.Set.mem src o.attestors
+          when Array.exists (Node_id.equal src) o.attestors
                && not (List.exists (fun (s, _) -> Node_id.equal s src) o.reports)
           ->
             o.reports <- (src, v) :: o.reports
@@ -192,22 +178,19 @@ module Make (V : Value.S) = struct
 
   let step ~self ~round ~stim:_ st ~inbox =
     match st.role with
-    | Member m -> step_member st m ~self ~inbox
+    | Member core -> step_member st core ~self ~inbox
     | Observer o -> step_observer st o ~round ~inbox
 
   (* ----- introspection (tests, traces, CLI) ----- *)
 
   let is_member st = match st.role with Member _ -> true | Observer _ -> false
 
-  let committee st =
-    match st.role with
-    | Member m -> m.committee_list
-    | Observer _ -> Committee.members ~seed:st.seed ~universe:st.universe
+  let committee st = st.sample.committee_list
 
   let attestor_ids st =
     match st.role with
     | Member _ -> []
-    | Observer o -> Node_id.Set.elements o.attestors
+    | Observer o -> Array.to_list o.attestors
 
   let reports_heard st =
     match st.role with

@@ -11,10 +11,12 @@
 
     + {b Committee phase}: the [⌈2√n⌉] sampled members
       ({!Committee.members}) run the unmodified early-terminating
-      consensus core ({!Consensus_core.Make}) among themselves, with the
-      core's broadcasts rewritten into addressed unicasts to the
-      committee, so inner traffic is [O(√n)] messages per member per
-      round instead of [O(n)].
+      consensus core ({!Consensus_core.Make}) among themselves, with each
+      of the core's broadcasts rewritten into one multicast to the
+      committee ({!Ubpa_sim.Envelope.Multicast}), so inner traffic is
+      [O(√n)] deliveries per member per round instead of [O(n)]. Every
+      node of a run reads one shared sample ({!Committee.shared}), so
+      the committee, attestor sets and audiences are drawn once.
     + {b Spreading phase} (almost-everywhere → everywhere): each node
       samples [≈2log₂ n] committee members as its {e attestors}
       ({!Committee.attestors}); a member that decides pushes one
@@ -67,7 +69,7 @@ module Make (V : Value.S) : sig
   val is_member : state -> bool
 
   val committee : state -> Node_id.t list
-  (** The sampled committee, ascending (recomputed from public data). *)
+  (** The sampled committee, ascending (read from the shared sample). *)
 
   val attestor_ids : state -> Node_id.t list
   (** This observer's attestor sample; [[]] for members. *)

@@ -5,40 +5,47 @@ type count = { msgs : int; bits : int }
 (* Mutable counter cell: bumping one allocates nothing. *)
 type cell = { mutable m : int; mutable b : int }
 
+(* One broadcast or multicast audience, interned once: charges owed to
+   every member accumulate in [owed_*] and are credited to the recipient
+   counters in one pass ([settle]), so a record costs O(1) however many
+   recipients accepted it. *)
+type audience = {
+  key : Node_id.t array;  (* compared physically *)
+  members : int array;
+  mutable owed_m : int;
+  mutable owed_b : int;
+}
+
 type t = {
   total : cell;
-  rounds : (int, cell) Hashtbl.t;
-  kinds : (string, cell) Hashtbl.t;
+  mutable rounds : cell array;
+      (* indexed by round; [absent] where no round was charged *)
+  mutable kinds : (string * cell) list;  (* the handful a protocol has *)
   intr : Interner.t;  (* node id -> dense index into [nodes] *)
   mutable nodes : int array;
       (* four counters per dense index ix, at [4 * ix + col]: see
          [rcv_m], [rcv_b], [snd_m], [snd_b] *)
-  (* The current broadcast audience, interned once: charges owed to every
-     member accumulate in [owed_*] and are credited to the recipient
-     counters in one pass ([settle]), so a broadcast costs O(1) however
-     many recipients accepted it. *)
-  mutable audience : Node_id.Set.t;
-  mutable members : int array;
-  mutable owed_m : int;
-  mutable owed_b : int;
+  mutable audiences : audience list;  (* at most [max_audiences] *)
 }
 
 let rcv_m = 0
 let rcv_b = 1
 let snd_m = 2
 let snd_b = 3
+let max_audiences = 8
+let max_round = 10_000_000
+
+(* Shared placeholder for uncharged rounds; never bumped. *)
+let absent = { m = 0; b = 0 }
 
 let create () =
   {
     total = { m = 0; b = 0 };
-    rounds = Hashtbl.create 32;
-    kinds = Hashtbl.create 8;
+    rounds = Array.make 32 absent;
+    kinds = [];
     intr = Interner.create ~hint:32 ();
     nodes = Array.make 128 0;
-    audience = Node_id.Set.empty;
-    members = [||];
-    owed_m = 0;
-    owed_b = 0;
+    audiences = [];
   }
 
 (* Dense index of [id], growing [nodes] to cover it. *)
@@ -59,17 +66,42 @@ let bump c msgs bits =
   c.m <- c.m + msgs;
   c.b <- c.b + bits
 
-let bump_key tbl key msgs bits =
-  match Hashtbl.find tbl key with
-  | c -> bump c msgs bits
-  | exception Not_found -> Hashtbl.add tbl key { m = msgs; b = bits }
+(* The counter cell of [round], created on first charge. *)
+let round_cell t round =
+  if round < 0 then invalid_arg "Wire: negative round";
+  let cap = Array.length t.rounds in
+  if round >= cap then begin
+    let g = Array.make (max (round + 1) (2 * cap)) absent in
+    Array.blit t.rounds 0 g 0 cap;
+    t.rounds <- g
+  end;
+  let c = t.rounds.(round) in
+  if c != absent then c
+  else begin
+    let c = { m = 0; b = 0 } in
+    t.rounds.(round) <- c;
+    c
+  end
+
+(* The counter cell of [kind], physical equality first since
+   classifiers return literals. *)
+let kind_cell t kind =
+  let rec find = function
+    | (name, c) :: _ when name == kind || String.equal name kind -> c
+    | _ :: rest -> find rest
+    | [] ->
+        let c = { m = 0; b = 0 } in
+        t.kinds <- (kind, c) :: t.kinds;
+        c
+  in
+  find t.kinds
 
 (* Everything but the recipient counters: [msgs] messages of [bits] total
    from [sender] in [round], of [kind]. *)
 let charge_sender t ~round ~sender ~kind ~msgs ~bits =
   bump t.total msgs bits;
-  bump_key t.rounds round msgs bits;
-  bump_key t.kinds kind msgs bits;
+  bump (round_cell t round) msgs bits;
+  bump (kind_cell t kind) msgs bits;
   let s = slot t sender in
   add t s snd_m msgs;
   add t s snd_b bits
@@ -80,31 +112,45 @@ let record t ~round ~sender ~recipient ~kind ~bits =
   add t r rcv_m 1;
   add t r rcv_b bits
 
-(* Credit the owed broadcasts to every audience member. Every reader of
+(* Credit the owed records to every audience member. Every reader of
    the recipient counters settles first. *)
 let settle t =
-  Array.iter
-    (fun r ->
-      add t r rcv_m t.owed_m;
-      add t r rcv_b t.owed_b)
-    t.members;
-  t.owed_m <- 0;
-  t.owed_b <- 0
+  List.iter
+    (fun a ->
+      if a.owed_m > 0 then begin
+        Array.iter
+          (fun r ->
+            add t r rcv_m a.owed_m;
+            add t r rcv_b a.owed_b)
+          a.members;
+        a.owed_m <- 0;
+        a.owed_b <- 0
+      end)
+    t.audiences
+
+let audience_of t key =
+  match List.find_opt (fun a -> a.key == key) t.audiences with
+  | Some a -> a
+  | None ->
+      if List.length t.audiences >= max_audiences then begin
+        settle t;
+        t.audiences <- []
+      end;
+      let a =
+        { key; members = Array.map (slot t) key; owed_m = 0; owed_b = 0 }
+      in
+      t.audiences <- a :: t.audiences;
+      a
 
 (* An excluded recipient is debited up front; the audience-wide credit at
    settle time brings it back to exactly what it accepted. *)
-let record_broadcast t ~round ~sender ~present ~excluded ~kind ~bits =
-  if present != t.audience then begin
-    settle t;
-    t.audience <- present;
-    t.members <-
-      Array.of_list (List.map (slot t) (Node_id.Set.elements present))
-  end;
-  let k = Array.length t.members - List.length excluded in
+let record_broadcast t ~round ~sender ~audience ~excluded ~kind ~bits =
+  let k = Array.length audience - List.length excluded in
   if k > 0 then begin
+    let a = audience_of t audience in
     charge_sender t ~round ~sender ~kind ~msgs:k ~bits:(k * bits);
-    t.owed_m <- t.owed_m + 1;
-    t.owed_b <- t.owed_b + bits;
+    a.owed_m <- a.owed_m + 1;
+    a.owed_b <- a.owed_b + bits;
     List.iter
       (fun id ->
         let r = slot t id in
@@ -116,12 +162,19 @@ let record_broadcast t ~round ~sender ~present ~excluded ~kind ~bits =
 let messages t = t.total.m
 let bits t = t.total.b
 
-let sorted_cells tbl cmp =
-  Hashtbl.fold (fun k c acc -> (k, { msgs = c.m; bits = c.b }) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> cmp a b)
+let count_of c = { msgs = c.m; bits = c.b }
 
-let per_round t = sorted_cells t.rounds Int.compare
-let per_kind t = sorted_cells t.kinds String.compare
+let per_round t =
+  let rows = ref [] in
+  for r = Array.length t.rounds - 1 downto 0 do
+    let c = t.rounds.(r) in
+    if c != absent then rows := (r, count_of c) :: !rows
+  done;
+  !rows
+
+let per_kind t =
+  List.map (fun (k, c) -> (k, count_of c)) t.kinds
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* A node appears in a breakdown once it has a message there; counts only
    ever grow, so "has a row" is "count > 0". *)
@@ -257,11 +310,20 @@ let of_json (j : Json.t) =
         |> Result.map List.rev
     | _ -> Error "Wire.of_json: missing \"per_kind\""
   in
+  let* () =
+    (* Rounds index a dense array: bound them before it grows. *)
+    if List.exists (fun (r, _) -> r < 0 || r > max_round) rounds then
+      Error "Wire.of_json: round out of range"
+    else Ok ()
+  in
   let t = create () in
-  let cell_of c = { m = c.msgs; b = c.bits } in
+  let set c (x : count) =
+    c.m <- x.msgs;
+    c.b <- x.bits
+  in
   bump t.total msgs bits;
-  List.iter (fun (r, c) -> Hashtbl.replace t.rounds r (cell_of c)) rounds;
-  List.iter (fun (k, c) -> Hashtbl.replace t.kinds k (cell_of c)) kinds;
+  List.iter (fun (r, c) -> set (round_cell t r) c) rounds;
+  List.iter (fun (k, c) -> set (kind_cell t k) c) kinds;
   let fill m b =
     List.iter (fun (n, c) ->
         let ix = slot t (Node_id.of_int n) in

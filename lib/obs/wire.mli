@@ -15,8 +15,8 @@
     (the committee protocols) bills the sender once per addressed peer.
 
     {!record} charges one delivery; {!record_broadcast} charges a whole
-    accepted broadcast in O(1). The network uses the second for
-    broadcasts, the reference core and replays only the first; {!equal}
+    accepted broadcast or multicast in O(1). The network uses the second
+    for both, the reference core and replays only the first; {!equal}
     between the two is the cross-core identity gated in CX1 and CX2. *)
 
 open Ubpa_util
@@ -35,26 +35,28 @@ val record :
   kind:string ->
   bits:int ->
   unit
-(** One delivery of [bits] bits. *)
+(** One delivery of [bits] bits. Rounds are dense counters indexed from
+    0: a negative [round] raises [Invalid_argument]. *)
 
 val record_broadcast :
   t ->
   round:int ->
   sender:Node_id.t ->
-  present:Node_id.Set.t ->
+  audience:Node_id.t array ->
   excluded:Node_id.t list ->
   kind:string ->
   bits:int ->
   unit
-(** One broadcast of [bits] bits accepted by every node of [present]
-    except [excluded] (distinct members that already took an equal
-    unicast from [sender] this round). With [k] accepting recipients it
-    charges [k] messages and [k * bits] to the total, the round, the
-    sender and the kind, and one message of [bits] to each accepting
-    recipient — exactly what [k] calls to {!record} would; nothing when
-    [k = 0]. O(1) in [k]: [present] is interned once per physically
-    distinct set (a network passes one per round), and the recipients'
-    credit is settled when a breakdown is next read. *)
+(** One broadcast or multicast of [bits] bits accepted by every node of
+    [audience] (distinct ids) except [excluded] (distinct members that
+    already took an equal message from [sender] this round). With [k]
+    accepting recipients it charges [k] messages and [k * bits] to the
+    total, the round, the sender and the kind, and one message of [bits]
+    to each accepting recipient — exactly what [k] calls to {!record}
+    would; nothing when [k = 0]. O(1) in [k]: each physically distinct
+    [audience] array is interned once (the delivery core hands one per
+    audience per round, and a handful are cached at a time), and the
+    recipients' credit is settled when a breakdown is next read. *)
 
 val messages : t -> int
 (** Total deliveries recorded (equals the sum of any breakdown). *)
@@ -102,5 +104,6 @@ val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
 (** Accepts documents written before the per-sender breakdown existed
-    (their sender counters load empty). Node rows with zero messages are
+    (their sender counters load empty). Rejects rounds outside
+    [0 .. 10_000_000]. Node rows with zero messages are
     dropped, since no recording can produce them. *)

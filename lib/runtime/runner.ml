@@ -132,7 +132,13 @@ module Make (P : Protocol.S) = struct
                        halted ones included: receivers that the model says
                        are absent next round drop it on drain, mirroring
                        present-set routing. *)
-                    Array.iter (fun id -> F.send ep ~dst:id frame) ids)
+                    Array.iter (fun id -> F.send ep ~dst:id frame) ids
+                | Envelope.Multicast group ->
+                    (* One frame per distinct member, like the unicasts
+                       the multicast stands for. *)
+                    List.iter
+                      (fun id -> F.send ep ~dst:id frame)
+                      (Node_id.sorted (Array.to_list group)))
               sends;
             (match status with
             | Protocol.Continue -> ()

@@ -781,7 +781,9 @@ module Committee_int = struct
           List.for_all (Int.equal v) rest
           && List.length values = List.length correct_ids
     in
-    let committee = Unknown_ba.Committee.members ~seed ~universe in
+    (* The run's own sample: every node was handed this universe list. *)
+    let sample = Unknown_ba.Committee.shared ~seed ~universe in
+    let committee = sample.committee_list in
     let byz_members =
       List.length
         (List.filter
@@ -821,7 +823,8 @@ module Committee_int = struct
       decision_rounds = List.filter_map (fun r -> r.Net.halted_at) o.H.reports;
       committee;
       byz_members;
-      attestor_q = Unknown_ba.Committee.attestor_size (List.length universe);
+      attestor_q =
+        Unknown_ba.Committee.attestor_size (Array.length sample.universe);
       max_budget_msgs = budget.Ubpa_obs.Wire.msgs;
       max_budget_bits = budget.Ubpa_obs.Wire.bits;
       monitor_green = Ubpa_monitor.all_green monitor;

@@ -78,6 +78,11 @@ module Make (P : Protocol.S) = struct
       | Envelope.To id -> [ id ]
       | Envelope.Broadcast ->
           Node_id.Map.fold (fun id _ acc -> id :: acc) t.nodes []
+      | Envelope.Multicast group ->
+          (* Distinct members that are nodes of this simulation. *)
+          List.filter
+            (fun id -> Node_id.Map.mem id t.nodes)
+            (Node_id.sorted (Array.to_list group))
     in
     List.iter
       (fun dst ->

@@ -239,8 +239,8 @@ module Make (P : Protocol.S) = struct
        suppressed duplicate never crossed the wire twice), pre
        receive-omission (the message was transmitted; the faulty receiver
        dropped it afterwards). A unicast is charged per delivery; an
-       accepted broadcast is charged once, for all k of its recipients —
-       no per-recipient work at all. *)
+       accepted broadcast or multicast is charged once, for all k of its
+       recipients — no per-recipient work at all. *)
     let kind_of =
       match t.classify with Some f -> f | None -> fun _ -> "msg"
     in
@@ -251,9 +251,9 @@ module Make (P : Protocol.S) = struct
         ~kind:(kind_of payload) ~bits;
       Metrics.record_wire t.metrics ~round ~count:1 ~bits
     in
-    let on_broadcast ~src payload ~k ~excluded =
+    let on_broadcast ~src payload ~audience ~k ~excluded =
       let bits = P.encoded_bits payload in
-      Ubpa_obs.Wire.record_broadcast t.wire ~round ~sender:src ~present
+      Ubpa_obs.Wire.record_broadcast t.wire ~round ~sender:src ~audience
         ~excluded ~kind:(kind_of payload) ~bits;
       Metrics.record_wire t.metrics ~round ~count:k ~bits:(k * bits)
     in

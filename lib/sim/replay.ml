@@ -28,6 +28,8 @@ module Make (P : Protocol.S) = struct
     match (a, b) with
     | Envelope.Broadcast, Envelope.Broadcast -> true
     | Envelope.To x, Envelope.To y -> Node_id.equal x y
+    | Envelope.Multicast x, Envelope.Multicast y ->
+        Array.length x = Array.length y && Array.for_all2 Node_id.equal x y
     | _ -> false
 
   let eq_inbox a b =

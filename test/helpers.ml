@@ -20,15 +20,24 @@ let qcheck_cases props = List.map QCheck_alcotest.to_alcotest props
 
 (* One round's worth of random traffic: a universe of nodes of which a
    random subset is present (models halted / not-yet-joined recipients),
-   unicasts and broadcasts in random proportion, with deliberate
-   duplicate sends — same (sender, payload) repeated as broadcast, as
-   unicast, and as a broadcast/unicast mix. *)
+   unicasts, broadcasts and multicasts in random proportion, with
+   deliberate duplicate sends — same (sender, payload) repeated as
+   broadcast, as multicast, as unicast, and as a mix. Multicasts go to a
+   pool of three groups that may list ids outside the universe and the
+   same id twice; the third is a copy of the first, so equal groups are
+   both physically shared and distinct. *)
 let random_traffic rng =
   let universe = 2 + Rng.int rng 9 in
   let ids = List.init universe Node_id.of_int in
   let present =
     List.filter (fun _ -> Rng.int rng 4 > 0) ids |> Node_id.Set.of_list
   in
+  let group () =
+    Array.init (1 + Rng.int rng universe) (fun _ ->
+        Node_id.of_int (Rng.int rng (universe + 2)))
+  in
+  let g0 = group () in
+  let groups = [| g0; group (); Array.copy g0 |] in
   let n_msgs = Rng.int rng 60 in
   let envelopes =
     List.concat_map
@@ -37,8 +46,13 @@ let random_traffic rng =
         (* Small payload space so duplicates are common. *)
         let payload = Rng.int rng 5 in
         let env =
-          if Rng.bool rng then Ubpa_sim.Envelope.broadcast ~src payload
-          else Ubpa_sim.Envelope.send ~src ~dst:(Rng.pick rng ids) payload
+          match Rng.int rng 3 with
+          | 0 -> Ubpa_sim.Envelope.broadcast ~src payload
+          | 1 -> Ubpa_sim.Envelope.send ~src ~dst:(Rng.pick rng ids) payload
+          | _ ->
+              Ubpa_sim.Envelope.multicast ~src
+                ~group:groups.(Rng.int rng 3)
+                payload
         in
         (* Occasionally send the exact same envelope again back to back. *)
         if Rng.int rng 4 = 0 then [ env; env ] else [ env ])
@@ -68,8 +82,8 @@ let arena_round ?(state = Ubpa_sim.Delivery.arena_create ()) ?metrics ~wire
     W.record wire ~round ~sender:src ~recipient ~kind:(kind m) ~bits:(bits m);
     charge 1 (bits m)
   in
-  let on_broadcast ~src m ~k ~excluded =
-    W.record_broadcast wire ~round ~sender:src ~present ~excluded
+  let on_broadcast ~src m ~audience ~k ~excluded =
+    W.record_broadcast wire ~round ~sender:src ~audience ~excluded
       ~kind:(kind m) ~bits:(bits m);
     charge k (k * bits m)
   in

@@ -94,7 +94,8 @@ let test_subset_rerouting () =
       | Envelope.To t ->
           check_true "targets the first half"
             (Node_id.to_int t = 10 || Node_id.to_int t = 20)
-      | Envelope.Broadcast -> Alcotest.fail "no broadcasts expected")
+      | Envelope.Broadcast -> Alcotest.fail "no broadcasts expected"
+      | Envelope.Multicast _ -> Alcotest.fail "no multicasts expected")
     sends
 
 let test_switch_state_isolation () =

@@ -147,6 +147,97 @@ let test_sampling_identical_across_jobs () =
   let parallel = Pool.map ~jobs:4 sample cells in
   check_true "Pool jobs=1 and jobs=4 byte-identical" (serial = parallel)
 
+let test_duplicated_universe () =
+  (* Listing the universe twice, in any order, changes no sample: the
+     attestor size is computed over distinct identifiers, and audiences
+     stay the exact inverse of attestor sets. *)
+  let universe = universe_of ~seed:19L 40 in
+  let rng = Rng.create 0xD0B1EL in
+  let doubled =
+    List.map (fun id -> (Rng.int rng 1_000_000, id)) (universe @ universe)
+    |> List.sort compare |> List.map snd
+  in
+  let seed = 31L in
+  check_true "same committee"
+    (Committee.members ~seed ~universe
+    = Committee.members ~seed ~universe:doubled);
+  let committee = Committee.members ~seed ~universe:doubled in
+  List.iter
+    (fun self ->
+      let att = Committee.attestors ~seed ~universe:doubled ~self in
+      check_int "attestor size over distinct ids"
+        (Committee.attestor_size 40) (List.length att);
+      check_true "same attestors as the deduplicated universe"
+        (att = Committee.attestors ~seed ~universe ~self);
+      List.iter
+        (fun member ->
+          check_true "audience inverts attestors"
+            (List.exists (Node_id.equal member) att
+            = List.exists (Node_id.equal self)
+                (Committee.audience ~seed ~universe:doubled ~member)))
+        committee)
+    universe
+
+(* Every field of a sample, the set compared as a set. *)
+let same_sample (a : Committee.sample) (b : Committee.sample) =
+  a.seed = b.seed && a.universe = b.universe && a.committee = b.committee
+  && a.committee_list = b.committee_list
+  && Node_id.Set.equal a.committee_set b.committee_set
+  && a.attestors = b.attestors && a.audiences = b.audiences
+
+let test_shared_sample () =
+  (* The memoised sample is a fresh build, and the public functions read
+     it — under Pool workers racing on the one-entry memo with
+     different seeds over one shared universe list. *)
+  let universe = universe_of ~seed:23L 97 in
+  let cell seed =
+    let shared = Committee.shared ~seed ~universe in
+    let fresh = Committee.sample ~seed ~universe in
+    let public_ok =
+      shared.committee_list = Committee.members ~seed ~universe
+      && List.for_all
+           (fun self ->
+             Array.to_list (Committee.attestors_of shared self)
+             = Committee.attestors ~seed ~universe ~self
+             && Committee.audience_of shared self
+                = Committee.audience ~seed ~universe ~member:self
+             && Committee.is_member shared self
+                = List.exists (Node_id.equal self) shared.committee_list)
+           universe
+    in
+    ( same_sample shared fresh && public_ok
+      && Committee.shared ~seed ~universe == Committee.shared ~seed ~universe,
+      List.map Node_id.to_int shared.committee_list )
+  in
+  let seeds = List.init 12 (fun i -> Int64.of_int (300 + (i mod 3))) in
+  let serial = Pool.map ~jobs:1 cell seeds in
+  let parallel = Pool.map ~jobs:4 cell seeds in
+  check_true "shared = fresh = public functions, every cell"
+    (List.for_all fst (serial @ parallel));
+  check_true "Pool jobs=1 and jobs=4 identical" (serial = parallel)
+
+let test_member_multicasts () =
+  (* A member's consensus broadcast leaves as one multicast to the
+     sample's committee array — the same physical array for every
+     member, so the delivery core builds one audience per round. *)
+  let module P = C.P in
+  let universe = universe_of ~seed:29L 50 in
+  let seed = 41L in
+  let sample = Committee.shared ~seed ~universe in
+  let step_first member =
+    let st = P.init ~self:member ~round:1 { P.value = 1; seed; universe } in
+    let _, sends, _ = P.step ~self:member ~round:1 ~stim:[] st ~inbox:[] in
+    sends
+  in
+  List.iter
+    (fun member ->
+      match step_first member with
+      | [ (Envelope.Multicast group, P.Inner _) ] ->
+          check_true "multicast to the shared committee array"
+            (group == sample.committee)
+      | _ -> Alcotest.fail "expected exactly one multicast")
+    sample.committee_list
+
 (* ----- sparse fan-out differential across delivery cores ----- *)
 
 (* The committee protocol's traffic is large batches of addressed
@@ -304,6 +395,11 @@ let suite =
         test_concentration_bounds;
       quick "sampling: identical across Pool --jobs"
         test_sampling_identical_across_jobs;
+      quick "sampling: duplicated, shuffled universe" test_duplicated_universe;
+      quick "sampling: shared sample = fresh build, across Pool --jobs"
+        test_shared_sample;
+      quick "protocol: a member broadcast is one committee multicast"
+        test_member_multicasts;
       quick "protocol: unanimous inputs, all correct"
         test_unanimous_all_correct;
       quick "protocol: split inputs, all correct"

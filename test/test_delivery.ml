@@ -4,8 +4,9 @@
    verbatim as an executable specification; these tests replay randomized
    traffic through it and through [Delivery.route_arena], the engine, and
    require bit-for-bit identical inboxes, delivery counts and wire
-   counters (the arena side charged once per broadcast, the reference
-   side per delivery), then repeat the comparison at the network level,
+   counters (the arena side charged once per broadcast or multicast, the
+   reference side per delivery), hold a multicast equal to its
+   per-member unicasts, then repeat the comparison at the network level,
    re-routing every round of full protocol runs through the reference
    core. *)
 
@@ -53,9 +54,11 @@ let same_hook_multiset ~present ~envelopes =
   let _ =
     Delivery.route_arena
       ~on_deliver:(fun ~recipient ~src p -> add recipient src p)
-      ~on_broadcast:(fun ~src p ~k ~excluded ->
+      ~on_broadcast:(fun ~src p ~audience ~k ~excluded ->
         let reached =
-          Node_id.Set.diff present (Node_id.Set.of_list excluded)
+          Node_id.Set.diff
+            (Node_id.Set.of_list (Array.to_list audience))
+            (Node_id.Set.of_list excluded)
         in
         if k <> Node_id.Set.cardinal reached then k_ok := false;
         Node_id.Set.iter (fun r -> add r src p) reached)
@@ -292,6 +295,155 @@ let prop_arena_dedup =
       let envelopes = List.concat_map expand_dedup_item items in
       matches_reference ~present ~envelopes)
 
+(* ----- multicasts ----- *)
+
+(* Destinations over a small node range and a pool of four groups: three
+   drawn at random — ids outside the universe (never present) and
+   repeated ids included — and a copy of the first, so one group is
+   both physically shared by several envelopes and equal to a distinct
+   array. *)
+type mdest = Bc | Uc of int | Mc of int
+
+type mitem =
+  | Send of int * mdest * int  (** src, destination, payload *)
+  | Twice of int * int * mdest * mdest
+      (** one sender, one payload, two destinations in this order *)
+
+let gen_multicast_batch =
+  QCheck2.Gen.(
+    let* universe = int_range 2 9 in
+    let* present_mask = array_size (pure universe) bool in
+    let* groups =
+      array_size (pure 3)
+        (array_size (int_range 1 (universe + 2)) (int_bound (universe + 1)))
+    in
+    let node = int_bound (universe - 1) in
+    let mc = map (fun g -> Mc g) (int_bound 3) in
+    let uc = map (fun d -> Uc d) node in
+    let dest = frequency [ (1, pure Bc); (2, uc); (3, mc) ] in
+    (* Every order of equal payloads from one sender that touches a
+       multicast. *)
+    let twice =
+      oneof
+        [
+          pair uc mc; pair mc uc; pair mc (pure Bc); pair (pure Bc) mc;
+          pair mc mc;
+        ]
+    in
+    let item =
+      frequency
+        [
+          (2, map3 (fun s d p -> Send (s, d, p)) node dest (int_bound 3));
+          ( 3,
+            map3 (fun s p (d1, d2) -> Twice (s, p, d1, d2)) node (int_bound 3)
+              twice );
+        ]
+    in
+    let* items = list_size (int_bound 16) item in
+    pure (universe, present_mask, groups, items))
+
+let multicast_envelopes groups items =
+  let groups =
+    Array.append (Array.map (Array.map id) groups) [| Array.map id groups.(0) |]
+  in
+  let env s d p =
+    match d with
+    | Bc -> Envelope.broadcast ~src:(id s) p
+    | Uc r -> Envelope.send ~src:(id s) ~dst:(id r) p
+    | Mc g -> Envelope.multicast ~src:(id s) ~group:groups.(g) p
+  in
+  List.concat_map
+    (function
+      | Send (s, d, p) -> [ env s d p ]
+      | Twice (s, p, d1, d2) -> [ env s d1 p; env s d2 p ])
+    items
+
+let present_of universe mask =
+  List.init universe Fun.id
+  |> List.filter (fun i -> mask.(i))
+  |> List.map id |> Node_id.Set.of_list
+
+let prop_arena_multicast =
+  QCheck2.Test.make ~count:500
+    ~name:"arena vs reference on multicasts mixed with broadcasts and unicasts"
+    gen_multicast_batch
+    (fun (universe, present_mask, groups, items) ->
+      matches_reference
+        ~present:(present_of universe present_mask)
+        ~envelopes:(multicast_envelopes groups items))
+
+(* Each multicast replaced, in place, by one unicast per listed member. *)
+let expand_multicasts envelopes =
+  List.concat_map
+    (fun (env : int Envelope.t) ->
+      match env.dst with
+      | Envelope.Multicast group ->
+          Array.to_list
+            (Array.map (fun dst -> Envelope.send ~src:env.src ~dst env.payload)
+               group)
+      | Envelope.To _ | Envelope.Broadcast -> [ env ])
+    envelopes
+
+(* A multicast is its per-member unicasts: several rounds of each shape
+   through its own reused arena state and its own wire, round by round
+   the same inboxes and counts, and at the end the same wire — with more
+   audiences over the run than the wire keeps interned at once. *)
+let prop_multicast_is_unicasts =
+  QCheck2.Test.make ~count:200
+    ~name:"a multicast routes and charges like its per-member unicasts"
+    QCheck2.Gen.(list_size (int_range 1 6) gen_multicast_batch)
+    (fun rounds ->
+      let sm = Delivery.arena_create () and su = Delivery.arena_create () in
+      let wm = Ubpa_obs.Wire.create () and wu = Ubpa_obs.Wire.create () in
+      let same_rounds =
+        List.for_all
+          (fun (round, (universe, present_mask, groups, items)) ->
+            let present = present_of universe present_mask in
+            let envelopes = multicast_envelopes groups items in
+            let im, cm =
+              arena_round ~state:sm ~wire:wm ~round ~kind ~bits
+                ~equal:Int.equal ~present ~envelopes ()
+            in
+            let iu, cu =
+              arena_round ~state:su ~wire:wu ~round ~kind ~bits
+                ~equal:Int.equal ~present
+                ~envelopes:(expand_multicasts envelopes) ()
+            in
+            cm = cu && same_inboxes im iu)
+          (List.mapi (fun i r -> (i + 1, r)) rounds)
+      in
+      same_rounds && Ubpa_obs.Wire.equal wm wu)
+
+let test_multicast_cases () =
+  (* Hand-built cases for the record dedup across destination shapes. *)
+  let present = Node_id.Set.of_list [ id 0; id 1; id 2; id 3 ] in
+  let g = [| id 1; id 2 |] and h = [| id 2; id 3; id 3; id 9 |] in
+  let m = Envelope.multicast and b = Envelope.broadcast in
+  let u = Envelope.send in
+  let cases =
+    [
+      (* Equal multicasts to one group: the second adds nothing. *)
+      [ m ~src:(id 0) ~group:g 5; m ~src:(id 0) ~group:g 5 ];
+      (* Overlapping groups: the second reaches only what the first
+         missed; a repeated and an absent member change nothing. *)
+      [ m ~src:(id 0) ~group:g 5; m ~src:(id 0) ~group:h 5 ];
+      (* Equal content, distinct arrays. *)
+      [ m ~src:(id 0) ~group:g 5; m ~src:(id 0) ~group:(Array.copy g) 5 ];
+      (* Multicast then broadcast, and the reverse. *)
+      [ m ~src:(id 0) ~group:g 5; b ~src:(id 0) 5 ];
+      [ b ~src:(id 0) 5; m ~src:(id 0) ~group:g 5 ];
+      (* A unicast to a member before and after the multicast, and to a
+         non-member after it. *)
+      [ u ~src:(id 0) ~dst:(id 2) 5; m ~src:(id 0) ~group:g 5 ];
+      [ m ~src:(id 0) ~group:g 5; u ~src:(id 0) ~dst:(id 2) 5 ];
+      [ m ~src:(id 0) ~group:g 5; u ~src:(id 0) ~dst:(id 3) 5 ];
+      (* Nobody present in the group. *)
+      [ m ~src:(id 0) ~group:[| id 7; id 9 |] 5 ];
+      [ m ~src:(id 0) ~group:[||] 5 ];
+    ]
+  in
+  List.iter (fun envelopes -> check_same ~present ~envelopes) cases
+
 (* ----- full protocol runs, every round checked by the oracle ----- *)
 
 module C = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
@@ -488,6 +640,8 @@ let suite =
       Alcotest.test_case "differential: adversarial dedup cases" `Quick
         test_differential_adversarial;
       Alcotest.test_case "inbox ordering" `Quick test_inbox_order;
+      Alcotest.test_case "differential: multicast dedup cases" `Quick
+        test_multicast_cases;
       Alcotest.test_case "arena: reused state matches reference" `Quick
         test_arena_state_reuse;
       Alcotest.test_case "engine equivalence: full consensus run" `Quick
@@ -502,4 +656,10 @@ let suite =
         test_queued_join_still_runs;
       Alcotest.test_case "clock shim is monotonic" `Quick test_clock_monotonic;
     ]
-    @ Helpers.qcheck_cases [ prop_arena_differential; prop_arena_dedup ] )
+    @ Helpers.qcheck_cases
+        [
+          prop_arena_differential;
+          prop_arena_dedup;
+          prop_arena_multicast;
+          prop_multicast_is_unicasts;
+        ] )
