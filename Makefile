@@ -38,14 +38,14 @@ bench-json:
 
 # What CI runs: fast sweeps + the self-checking claim gate.
 bench-check:
-	dune exec bench/main.exe -- --fast --no-timing --json results/json-fast/ \
+	dune exec bench/main.exe -- --fast --json results/json-fast/ \
 		--jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-fast/
 
 # Selected experiments only, with the claim gate:
 # `make bench-only EXP=SCALE,RT3`.
 bench-only:
-	dune exec bench/main.exe -- --only $(EXP) --no-timing \
+	dune exec bench/main.exe -- --only $(EXP) \
 		--json results/json-only/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-only/
 
@@ -55,15 +55,13 @@ bench-only:
 # ~5 min serial; the n=10,000 cell wants several GB of RAM (per-node
 # protocol state, not the delivery engine).
 scale:
-	dune exec bench/main.exe -- --only SCALE --no-timing \
+	dune exec bench/main.exe -- --only SCALE \
 		--json results/json-scale/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-scale/
 
-# Regenerate the committed refactor-gate baseline. PERF is excluded on
-# purpose: it races the arena core against the reference core, so its timing
-# cells change run to run and can never be a determinism reference.
-# PERF2 is included on purpose: its digests are independent of machine,
-# --jobs, and pool backend, so the baseline pins executor determinism.
+# Regenerate the committed refactor-gate baseline. PERF2 is included on
+# purpose: its digests are independent of machine, --jobs, and pool
+# backend, so the baseline pins executor determinism.
 # SCALE and CX2 are re-run in full mode: their committed baselines carry
 # the rows that are the scaling evidence — SCALE's n=10,000 delivery
 # sweep, CX2's n=3,001 per-node √n·polylog(n) budget fits (CI's
@@ -71,17 +69,16 @@ scale:
 # the claims still gate), while timing/alloc cells everywhere are exempt
 # from the exact diff by column name (Diff.exact_exempt_columns).
 bench-baseline:
-	dune exec bench/main.exe -- --fast --no-timing --json bench/baseline/
-	dune exec bench/main.exe -- --only SCALE --no-timing --json bench/baseline/
-	dune exec bench/main.exe -- --only CX2 --no-timing --json bench/baseline/
-	rm -f bench/baseline/BENCH_PERF.json
+	dune exec bench/main.exe -- --fast --json bench/baseline/
+	dune exec bench/main.exe -- --only SCALE --json bench/baseline/
+	dune exec bench/main.exe -- --only CX2 --json bench/baseline/
 
 # The refactor gate CI runs: fast sweeps diffed cell-for-cell against
 # the committed baseline (wall-clock metadata exempt, timing gate off).
 # The baseline was produced serially, so running the gate with JOBS > 1
 # doubles as the parallel-vs-serial byte-identity check.
 bench-gate:
-	dune exec bench/main.exe -- --fast --no-timing --json results/json-fast/ \
+	dune exec bench/main.exe -- --fast --json results/json-fast/ \
 		--jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --exact bench/baseline results/json-fast/
 
@@ -90,7 +87,7 @@ bench-gate:
 # CI runs this on both compiler legs; `make bench-gate` additionally
 # diffs the artifact byte-for-byte against bench/baseline/BENCH_MC1.json.
 check:
-	dune exec bench/main.exe -- --only MC1 --fast --no-timing \
+	dune exec bench/main.exe -- --only MC1 --fast \
 		--json results/json-mc/ --jobs $(JOBS)
 	dune exec bin/bench_diff.exe -- --check-claims results/json-mc/
 

@@ -1,3444 +1,136 @@
 (* Experiment harness.
 
    The paper is theory-only (no tables or figures), so EXPERIMENTS.md
-   defines the evaluation suite E1-E12 + A1-A3: one table per claim of the
-   paper, regenerated by this executable. `--only E3,SCALE` selects
-   experiments,
-   `--fast` shrinks the sweeps, `--no-timing` skips the bechamel section,
-   `--jobs N` runs sweep cells on N worker domains (tables stay
-   byte-identical — see PERF2). *)
+   defines the evaluation suite: E1-E13 (one table per claim of the
+   paper), the ablations A1-A4, and the engine, complexity, runtime and
+   model-checking experiments (PERF2, SCALE, R1, CX1, CX2, RT1-RT3, MC1).
+   Each is one [Experiment.t] value that owns its table, claims and side
+   files; this executable parses flags, runs the selected experiments in
+   list order and writes every artifact the same way. `--only E3,SCALE`
+   selects experiments, `--fast` shrinks the sweeps, `--jobs N` runs
+   sweep cells on N worker domains (tables stay byte-identical — see
+   PERF2). *)
 
 open Ubpa_util
-open Ubpa_sim
-open Ubpa_harness
-open Ubpa_scenarios
+open Ubpa_report
+open Ubpa_bench
 
-let fast = ref false
-let only : string option ref = ref None
-let no_timing = ref false
-let csv_dir : string option ref = ref None
-let json_dir : string option ref = ref None
+let experiments =
+  Paper.experiments @ Ablation.experiments @ Engine.experiments
+  @ Cx.experiments @ Rt.experiments @ Mc.experiments
 
-let jobs : int option ref = ref None
-(* --jobs N; None falls back to UBPA_JOBS, then 1 (see Pool.map) *)
+let usage =
+  "usage: main.exe [options]\n\nexperiments:\n"
+  ^ String.concat ""
+      (List.map
+         (fun (e : Experiment.t) -> Printf.sprintf "  %-6s %s\n" e.id e.title)
+         experiments)
+  ^ "\noptions:"
 
-let usage () =
-  print_string
-    "usage: main.exe [options]\n\
-     \  --fast         shrink every sweep (CI smoke mode)\n\
-     \  --no-timing    skip the bechamel timing section\n\
-     \  --only ID[,ID] run selected experiments (e.g. --only E3,SCALE)\n\
-     \  --csv DIR      write one CSV per experiment into DIR\n\
-     \  --json DIR     write one BENCH_<ID>.json artifact per experiment\n\
-     \  --jobs N       run sweep cells on N worker domains (0 = all cores;\n\
-     \                 default: UBPA_JOBS env var, then 1). Tables are\n\
-     \                 byte-identical at any N; PERF2 machine-checks this.\n"
+let write_file dir name contents =
+  let path = Filename.concat dir name in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Printf.printf "wrote %s\n%!" path
 
-let sizes () = if !fast then [ 4; 7; 13 ] else [ 4; 7; 13; 25; 40; 61 ]
-let f_sweep () = if !fast then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6 ]
-let seeds () = if !fast then [ 1L; 2L ] else [ 1L; 2L; 3L; 4L; 5L ]
-
-let experiments : (string * string * (unit -> Table.t)) list ref = ref []
-let register id title f = experiments := (id, title, f) :: !experiments
-
-let bool_cell = Table.cell_bool
-let f_of_n n = Scenarios.max_f n
-
-(* Run one sweep cell per item on the pool and append each cell's rows in
-   submission order: the finished table is byte-identical to a serial run
-   at any --jobs (every cell owns its seeds; see Ubpa_harness.Pool). *)
-let pool_rows t items f =
-  List.iter (List.iter (Table.add_row t)) (Pool.map ?jobs:!jobs f items)
-
-(* FNV-1a over a string; used for the deterministic digests in PERF/PERF2
-   (deliberately our own arithmetic — Hashtbl.hash may differ across
-   compiler versions, this must not). *)
-let fnv1a (s : string) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let digest_cell h = Printf.sprintf "%016Lx" h
-
-(* ------------------------------------------------------------------ *)
-(* E1: reliable broadcast — correctness, relay, unforgeability          *)
-(* ------------------------------------------------------------------ *)
-
-let e1 () =
-  let t =
-    Table.create ~title:"E1: reliable broadcast in the id-only model"
-      ~columns:
-        [
-          "n";
-          "f";
-          "adversary";
-          "accepted";
-          "consistent";
-          "round(min)";
-          "round(max)";
-          "msgs";
-        ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      let cases =
-        [
-          ("none", [], false);
-          ("silent", List.init f (fun _ -> Strategy.silent), false);
-          ( "equivocating-sender",
-            Scenarios.Rb.Attacks.equivocating_sender "m1" "m2"
-            :: List.init (max 0 (f - 1)) (fun _ -> Strategy.silent),
-            true );
-          ( "partial-sender(0.4)",
-            Scenarios.Rb.Attacks.partial_sender "m" ~fraction:0.4
-            :: List.init (max 0 (f - 1)) (fun _ -> Strategy.silent),
-            true );
-        ]
+(* Run one experiment, print its table, write its CSV, artifact and side
+   files as asked; returns the number of failed claims. *)
+let run_one cfg ~csv_dir ~json_dir (e : Experiment.t) =
+  Printf.printf "\n[%s] running...\n%!" e.id;
+  let t0 = Clock.now_ms () in
+  let out = e.run cfg in
+  let elapsed_ms = Clock.elapsed_ms ~since:t0 in
+  Table.print out.table;
+  Option.iter
+    (fun dir ->
+      Artifact.mkdir_p dir;
+      write_file dir (e.id ^ ".csv") (Table.to_csv out.table))
+    csv_dir;
+  match json_dir with
+  | None -> 0
+  | Some dir ->
+      let claims = e.claims cfg out in
+      let columns = Table.columns out.table and rows = Table.rows out.table in
+      let path =
+        Artifact.write ~dir
+          {
+            Artifact.experiment = e.id;
+            title = Table.title out.table;
+            fast = cfg.fast;
+            seeds = List.map Int64.to_int (Experiment.seeds cfg);
+            elapsed_ms;
+            columns;
+            rows;
+            claims;
+            metrics = Artifact.derive_metrics ~columns ~rows;
+            complexity = out.complexity;
+          }
       in
-      List.filter_map
-        (fun (label, byz, byz_sender) ->
-          if f = 0 && byz_sender then None
-          else
-            let byz = if f = 0 then [] else byz in
-            let s =
-              Scenarios.Rb.run ~byz ~byz_sender
-                ~n_correct:(n - List.length byz) ~payload:"m" ()
-            in
-            Some
-              [
-                Table.cell_int s.Scenarios.Rb.n;
-                Table.cell_int s.Scenarios.Rb.f;
-                label;
-                bool_cell s.Scenarios.Rb.all_accepted_sender_payload;
-                bool_cell s.Scenarios.Rb.consistent_acceptance;
-                Table.cell_int s.Scenarios.Rb.min_accept_round;
-                Table.cell_int s.Scenarios.Rb.max_accept_round;
-                Table.cell_int s.Scenarios.Rb.delivered_msgs;
-              ])
-        cases);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E2: rotor-coordinator — O(n) rounds, good round                      *)
-(* ------------------------------------------------------------------ *)
-
-let e2 () =
-  let t =
-    Table.create ~title:"E2: rotor-coordinator termination and good rounds"
-      ~columns:
-        [ "n"; "f"; "adversary"; "rounds(max)"; "bound n+3"; "good round"; "msgs" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      let cases =
-        [
-          ("none", []);
-          ("silent", List.init f (fun _ -> Strategy.silent));
-          ( "staggered",
-            List.init f (fun i ->
-                Scenarios.Rotor_int.Attacks.staggered_announcer
-                  ~fraction:(0.34 +. (0.1 *. float_of_int (i mod 4)))) );
-        ]
+      List.iter (fun (name, contents) -> write_file dir name contents)
+        out.side_files;
+      let failed =
+        List.filter_map
+          (fun (c : Artifact.claim) ->
+            if c.status = Artifact.Fail then Some c.cid else None)
+          claims
       in
-      List.map
-        (fun (label, byz) ->
-          let byz = if f = 0 then [] else byz in
-          let s =
-            Scenarios.Rotor_int.run ~byz ~n_correct:(n - List.length byz) ()
-          in
-          let rmax =
-            List.fold_left max 0 s.Scenarios.Rotor_int.termination_rounds
-          in
-          [
-            Table.cell_int s.Scenarios.Rotor_int.n;
-            Table.cell_int s.Scenarios.Rotor_int.f;
-            label;
-            Table.cell_int rmax;
-            Table.cell_int (n + 3);
-            bool_cell s.Scenarios.Rotor_int.good_round_exists;
-            Table.cell_int s.Scenarios.Rotor_int.delivered_msgs;
-          ])
-        cases);
-  t
-
-
-(* E2b: figure-style series — per-round delivered messages of a rotor run,
-   showing the Theta(n^2) echo burst at initialization and the thin
-   steady-state tail. *)
-
-let e2b () =
-  let t =
-    Table.create
-      ~title:"E2b: rotor message profile over time (n = 13, all correct)"
-      ~columns:[ "round"; "delivered"; "profile" ]
-  in
-  let ids = Scenarios.make_ids ~seed:76L 13 in
-  let module H = Harness.Make (Scenarios.Rotor_int.P) in
-  let o =
-    H.execute ~max_rounds:100
-      ~correct:(List.mapi (fun i id -> (id, i)) ids)
-      ~byzantine:[] ()
-  in
-  let rows = Metrics.delivered_per_round o.H.metrics in
-  let peak = List.fold_left (fun acc (_, c) -> max acc c) 1 rows in
-  List.iter
-    (fun (round, count) ->
-      let bar = String.make (max 1 (40 * count / peak)) '#' in
-      Table.add_row t [ Table.cell_int round; Table.cell_int count; bar ])
-    rows;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E3: consensus — O(f) rounds under the split-world adversary          *)
-(* ------------------------------------------------------------------ *)
-
-let e3 () =
-  let t =
-    Table.create ~title:"E3: consensus round complexity vs f (n = 3f+1)"
-      ~columns:[ "f"; "n"; "rounds(max)"; "phases"; "agreed"; "valid"; "msgs" ]
-  in
-  pool_rows t (f_sweep ()) (fun f ->
-      let s =
-        Scenarios.Consensus_int.run
-          ~byz:
-            (List.init f (fun _ ->
-                 Scenarios.Consensus_int.Attacks.split_world 0 1))
-          ~n_correct:((2 * f) + 1)
-          ~inputs:(fun i -> i mod 2)
-          ()
-      in
-      let rmax =
-        List.fold_left max 0 s.Scenarios.Consensus_int.decision_rounds
-      in
-      [
-        [
-          Table.cell_int s.Scenarios.Consensus_int.f;
-          Table.cell_int s.Scenarios.Consensus_int.n;
-          Table.cell_int rmax;
-          Table.cell_int ((rmax - 2 + 4) / 5);
-          bool_cell s.Scenarios.Consensus_int.agreed;
-          bool_cell s.Scenarios.Consensus_int.valid;
-          Table.cell_int s.Scenarios.Consensus_int.delivered_msgs;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E4: consensus early termination — unanimous vs split inputs          *)
-(* ------------------------------------------------------------------ *)
-
-let e4 () =
-  let t =
-    Table.create
-      ~title:"E4: early termination (unanimous inputs decide in one phase)"
-      ~columns:[ "n"; "f"; "inputs"; "rounds(max)"; "phases"; "agreed" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      List.map
-        (fun (label, inputs) ->
-          let s =
-            Scenarios.Consensus_int.run
-              ~byz:(List.init f (fun _ -> Strategy.silent))
-              ~n_correct:(n - f) ~inputs ()
-          in
-          let rmax =
-            List.fold_left max 0 s.Scenarios.Consensus_int.decision_rounds
-          in
-          [
-            Table.cell_int n;
-            Table.cell_int f;
-            label;
-            Table.cell_int rmax;
-            Table.cell_int ((rmax - 2 + 4) / 5);
-            bool_cell s.Scenarios.Consensus_int.agreed;
-          ])
-        [ ("unanimous", fun _ -> 1); ("split", fun i -> i mod 2) ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E5: approximate agreement — within range, halving, under attack      *)
-(* ------------------------------------------------------------------ *)
-
-let e5 () =
-  let t =
-    Table.create ~title:"E5: approximate agreement (single round)"
-      ~columns:[ "n"; "f"; "adversary"; "in-range"; "contraction"; "bound" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let f = f_of_n n in
-      let cases =
-        [
-          ("none", []);
-          ( "pull-apart",
-            List.init f (fun _ ->
-                Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6) );
-          ("outlier", List.init f (fun _ -> Ubpa_adversary.Aa_attacks.outlier 1e9));
-          ( "tracker",
-            List.init f (fun _ -> Ubpa_adversary.Aa_attacks.tracker ~offset:7.) );
-        ]
-      in
-      List.map
-        (fun (label, byz) ->
-          let byz = if f = 0 then [] else byz in
-          let s =
-            Scenarios.Aa.run ~byz ~n_correct:(n - List.length byz)
-              ~inputs:(fun i -> float_of_int (10 * i))
-              ()
-          in
-          [
-            Table.cell_int s.Scenarios.Aa.n;
-            Table.cell_int s.Scenarios.Aa.f;
-            label;
-            bool_cell s.Scenarios.Aa.within_range;
-            Table.cell_float ~digits:3 s.Scenarios.Aa.contraction;
-            "0.500";
-          ])
-        cases);
-  t
-
-
-(* E5b: approximate agreement in a dynamic network — the range halves each
-   round, except where a joiner's value widens it (the paper's caveat). *)
-
-let e5b () =
-  let t =
-    Table.create
-      ~title:
-        "E5b: dynamic approximate agreement (joins may widen the range, \
-         halving resumes)"
-      ~columns:[ "round"; "lo"; "hi"; "spread"; "event" ]
-  in
-  let s =
-    Scenarios.Aa.run_dynamic ~n_start:7 ~iterations:10
-      ~byz:
-        (List.init 2 (fun _ ->
-             Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-      ~joins:[ (4, 200.0); (4, 300.0); (4, 400.0); (4, 500.0) ]
-      ~inputs:(fun i -> float_of_int (10 * i))
-      ()
-  in
-  List.iter
-    (fun (round, lo, hi) ->
-      let joins =
-        List.filter (fun (r, _) -> r = round) s.Scenarios.Aa.joins_applied
-      in
-      let event =
-        match joins with
+      Printf.printf "wrote %s (%d claims%s)\n%!" path (List.length claims)
+        (match failed with
         | [] -> ""
-        | l ->
-            Printf.sprintf "join: %s"
-              (String.concat ", "
-                 (List.map (fun (_, v) -> Printf.sprintf "%.0f" v) l))
-      in
-      Table.add_row t
-        [
-          Table.cell_int round;
-          Table.cell_float ~digits:2 lo;
-          Table.cell_float ~digits:2 hi;
-          Table.cell_float ~digits:4 (hi -. lo);
-          event;
-        ])
-    s.Scenarios.Aa.range_per_round;
-  Table.add_row t
-    [
-      "-";
-      "-";
-      "-";
-      (if s.Scenarios.Aa.within_global_range then "in-range" else "VIOLATED");
-      "final check";
-    ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E6: iterated convergence — unknown-n/f vs Dolev et al. (known f)     *)
-(* ------------------------------------------------------------------ *)
-
-module Da = Ubpa_baselines.Dolev_aa
-module Da_h = Harness.Make (Da)
-
-(* A pull-apart attack over the baseline's own message type. *)
-let da_pull_apart ~low ~high =
-  Strategy.v ~name:"da-pull-apart" (fun _rng _self view ->
-      let correct = view.Strategy.correct in
-      let half = List.length correct / 2 in
-      List.mapi
-        (fun i t ->
-          (Envelope.To t, Da.Estimate (if i < half then low else high)))
-        correct)
-
-
-let dolev_contraction_attacked ~n_correct ~byz_count ~f ~iterations =
-  let ids = Scenarios.make_ids ~seed:71L (n_correct + byz_count) in
-  let correct_ids = List.filteri (fun i _ -> i < n_correct) ids in
-  let byz_ids = List.filteri (fun i _ -> i >= n_correct) ids in
-  let correct =
-    List.mapi
-      (fun i id -> (id, { Da.value = float_of_int (10 * i); iterations; f }))
-      correct_ids
-  in
-  let byzantine =
-    List.map (fun id -> (id, da_pull_apart ~low:(-1e6) ~high:1e6)) byz_ids
-  in
-  let o = Da_h.execute ~correct ~byzantine () in
-  let outs =
-    List.map (fun (_, (p : Da.progress)) -> p.estimate) o.Da_h.outputs
-  in
-  let spread_in = float_of_int (10 * (n_correct - 1)) in
-  if outs = [] then nan else Stats.range outs /. spread_in
-
-let e6 () =
-  let t =
-    Table.create
-      ~title:
-        "E6: iterated AA convergence under pull-apart attack — unknown n/f vs \
-         known-f baseline"
-      ~columns:
-        [ "iterations"; "contraction(id-only)"; "contraction(known-f)"; "bound 2^-k" ]
-  in
-  let n_correct = 7 and byz_count = 3 in
-  pool_rows t [ 1; 2; 3; 4; 6; 8 ] (fun k ->
-      let ours =
-        Scenarios.Aa.run ~iterations:k
-          ~byz:
-            (List.init byz_count (fun _ ->
-                 Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-          ~n_correct
-          ~inputs:(fun i -> float_of_int (10 * i))
-          ()
-      in
-      let theirs =
-        dolev_contraction_attacked ~n_correct ~byz_count ~f:byz_count
-          ~iterations:k
-      in
-      [
-        [
-          Table.cell_int k;
-          Table.cell_float ~digits:6 ours.Scenarios.Aa.contraction;
-          Table.cell_float ~digits:6 theirs;
-          Table.cell_float ~digits:6 (0.5 ** float_of_int k);
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E7: resiliency boundary n > 3f                                       *)
-(* ------------------------------------------------------------------ *)
-
-let e7 () =
-  let t =
-    Table.create
-      ~title:
-        "E7: resiliency boundary (n = 13 fixed, f sweeps across n/3; \
-         safety per algorithm)"
-      ~columns:[ "algorithm"; "f"; "n>3f"; "runs"; "safe"; "violated" ]
-  in
-  let n = 13 in
-  let algorithms =
-    [
-      ( "consensus (agreement)",
-        fun ~seed ~f ->
-          let s =
-            Scenarios.Consensus_int.run ~seed ~max_rounds:400
-              ~byz:
-                (List.init f (fun _ ->
-                     Scenarios.Consensus_int.Attacks.split_world 0 1))
-              ~n_correct:(n - f)
-              ~inputs:(fun i -> i mod 2)
-              ()
-          in
-          s.Scenarios.Consensus_int.all_terminated
-          && s.Scenarios.Consensus_int.agreed );
-      ( "approx-agreement (containment)",
-        fun ~seed ~f ->
-          let s =
-            Scenarios.Aa.run ~seed
-              ~byz:
-                (List.init f (fun _ ->
-                     Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-              ~n_correct:(n - f)
-              ~inputs:(fun i -> float_of_int (10 * i))
-              ()
-          in
-          s.Scenarios.Aa.within_range );
-      ( "reliable-broadcast (unforgeability)",
-        fun ~seed ~f ->
-          (* f forgers echo a payload attributed to a correct node that never
-             sent it; past the boundary the forged echoes cross n_v/3, get
-             relayed by correct nodes, and the forgery is accepted. *)
-          let claimed = List.hd (Scenarios.make_ids ~seed (n - f)) in
-          let s =
-            Scenarios.Rb.run ~seed
-              ~byz:
-                (List.init f (fun _ ->
-                     Scenarios.Rb.Attacks.forging_echoer "forged" ~claimed))
-              ~n_correct:(n - f) ~payload:"real" ()
-          in
-          List.for_all
-            (fun (_, entries) ->
-              not (List.exists (fun (m, _, _) -> m = "forged") entries))
-            s.Scenarios.Rb.accepted );
-    ]
-  in
-  let cells =
-    List.concat_map
-      (fun (name, run_one) ->
-        List.map (fun f -> (name, run_one, f)) [ 0; 2; 4; 5; 6 ])
-      algorithms
-  in
-  pool_rows t cells (fun (name, run_one, f) ->
-      let safe = ref 0 and violated = ref 0 in
-      List.iter
-        (fun seed -> if run_one ~seed ~f then incr safe else incr violated)
-        (seeds ());
-      [
-        [
-          name;
-          Table.cell_int f;
-          bool_cell (n > 3 * f);
-          Table.cell_int (List.length (seeds ()));
-          Table.cell_int !safe;
-          Table.cell_int !violated;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E8: message complexity vs the known-n/f baselines                    *)
-(* ------------------------------------------------------------------ *)
-
-module St = Ubpa_baselines.St_broadcast.Make (Unknown_ba.Value.String)
-module St_h = Harness.Make (St)
-module St_net = St_h.Net
-module Pk = Ubpa_baselines.Phase_king.Make (Unknown_ba.Value.Int)
-module Pk_h = Harness.Make (Pk)
-
-let st_messages ~n =
-  let ids = Scenarios.make_ids ~seed:72L n in
-  let correct =
-    List.mapi
-      (fun i id ->
-        (id, { St.payload = (if i = 0 then Some "m" else None); f = f_of_n n }))
-      ids
-  in
-  let stop net =
-    let reports = St_net.reports net in
-    reports <> []
-    && List.for_all
-         (fun r ->
-           match r.St_net.last_output with Some (_ :: _) -> true | _ -> false)
-         reports
-  in
-  let o = St_h.execute ~max_rounds:20 ~stop ~correct ~byzantine:[] () in
-  (o.St_h.delivered_msgs, o.St_h.rounds)
-
-let pk_messages ~n =
-  let ids = Scenarios.make_ids ~seed:73L n in
-  let correct =
-    List.mapi
-      (fun i id -> (id, { Pk.value = i mod 2; members = ids; f = f_of_n n }))
-      ids
-  in
-  let o = Pk_h.execute ~max_rounds:300 ~correct ~byzantine:[] () in
-  (o.Pk_h.delivered_msgs, o.Pk_h.rounds)
-
-let e8 () =
-  let t =
-    Table.create
-      ~title:
-        "E8: message complexity, id-only vs known-n/f baselines (all-correct runs)"
-      ~columns:
-        [
-          "n";
-          "RB msgs(id-only)";
-          "RB msgs(ST)";
-          "cons msgs(id-only)";
-          "cons msgs(king)";
-          "cons rounds(id-only)";
-          "cons rounds(king)";
-        ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let rb = Scenarios.Rb.run ~n_correct:n ~payload:"m" () in
-      let st_msgs, _ = st_messages ~n in
-      let cons =
-        Scenarios.Consensus_int.run ~n_correct:n ~inputs:(fun i -> i mod 2) ()
-      in
-      let pk_msgs, pk_rounds = pk_messages ~n in
-      [
-        [
-          Table.cell_int n;
-          Table.cell_int rb.Scenarios.Rb.delivered_msgs;
-          Table.cell_int st_msgs;
-          Table.cell_int cons.Scenarios.Consensus_int.delivered_msgs;
-          Table.cell_int pk_msgs;
-          Table.cell_int cons.Scenarios.Consensus_int.rounds;
-          Table.cell_int pk_rounds;
-        ];
-      ]);
-  t
-
-
-(* E8b: message breakdown by kind inside the consensus algorithm. *)
-
-module Cint = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
-module Cint_h = Harness.Make (Cint)
-
-let consensus_kind_of (m : Cint.message) =
-  match m with
-  | Cint.Core.Init -> "init"
-  | Cint.Core.Cand_echo _ -> "cand-echo"
-  | Cint.Core.Input _ -> "input"
-  | Cint.Core.Prefer _ -> "prefer"
-  | Cint.Core.Strongprefer _ -> "strongprefer"
-  | Cint.Core.Opinion _ -> "opinion"
-
-let e8b () =
-  let t =
-    Table.create
-      ~title:
-        "E8b: consensus message breakdown by kind (send operations, \
-         all-correct runs)"
-      ~columns:[ "n"; "init"; "cand-echo"; "input"; "prefer"; "strongprefer"; "opinion" ]
-  in
-  pool_rows t (sizes ()) (fun n ->
-      let ids = Scenarios.make_ids ~seed:75L n in
-      let o =
-        Cint_h.execute ~classify:consensus_kind_of ~max_rounds:500
-          ~correct:(List.mapi (fun i id -> (id, i mod 2)) ids)
-          ~byzantine:[] ()
-      in
-      let kinds = Metrics.kinds o.Cint_h.metrics in
-      let get k = Option.value ~default:0 (List.assoc_opt k kinds) in
-      [
-        [
-          Table.cell_int n;
-          Table.cell_int (get "init");
-          Table.cell_int (get "cand-echo");
-          Table.cell_int (get "input");
-          Table.cell_int (get "prefer");
-          Table.cell_int (get "strongprefer");
-          Table.cell_int (get "opinion");
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E9: parallel consensus — k instances                                 *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  let t =
-    Table.create ~title:"E9: parallel consensus with k instances (n = 7, f = 2)"
-      ~columns:[ "k"; "rounds"; "msgs"; "agreed"; "pairs output" ]
-  in
-  pool_rows t [ 0; 1; 2; 4; 8; 16 ] (fun k ->
-      let s =
-        Scenarios.Parallel_int.run
-          ~byz:
-            [
-              Scenarios.Parallel_int.Attacks.ghost_instance ~id:999 1;
-              Strategy.silent;
-            ]
-          ~n_correct:5
-          ~inputs:(fun _ -> List.init k (fun j -> (j, 10 * j)))
-          ()
-      in
-      let pairs =
-        match s.Scenarios.Parallel_int.outputs with
-        | (_, o) :: _ -> List.length o
-        | [] -> 0
-      in
-      [
-        [
-          Table.cell_int k;
-          Table.cell_int s.Scenarios.Parallel_int.rounds;
-          Table.cell_int s.Scenarios.Parallel_int.delivered_msgs;
-          bool_cell s.Scenarios.Parallel_int.agreed;
-          Table.cell_int pairs;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E10: dynamic total ordering                                          *)
-(* ------------------------------------------------------------------ *)
-
-let e10 () =
-  let t =
-    Table.create ~title:"E10: total ordering under churn (chain-prefix / growth)"
-      ~columns:
-        [
-          "scenario";
-          "rounds";
-          "events";
-          "chain(max)";
-          "prefix-ok";
-          "finality lag";
-          "msgs";
-        ]
-  in
-  let cases =
-    [
-      ("static n=4", Scenarios.Total_order_str.no_churn, 4, 8, 1);
-      ( "join@4",
-        { Scenarios.Total_order_str.join_at = [ (4, 1) ]; leave_at = [] },
-        4,
-        10,
-        1 );
-      ( "leave@6",
-        { Scenarios.Total_order_str.join_at = []; leave_at = [ (6, 1) ] },
-        5,
-        10,
-        1 );
-      ( "join+leave",
-        { Scenarios.Total_order_str.join_at = [ (5, 1) ]; leave_at = [ (9, 1) ] },
-        5,
-        12,
-        1 );
-      ("3 events/round", Scenarios.Total_order_str.no_churn, 5, 8, 3);
-    ]
-  in
-  pool_rows t cases (fun (label, churn, n_genesis, rounds, epr) ->
-      let s =
-        Scenarios.Total_order_str.run ~churn ~n_genesis ~rounds
-          ~events_per_round:epr ()
-      in
-      [
-        [
-          label;
-          Table.cell_int s.Scenarios.Total_order_str.rounds;
-          Table.cell_int s.Scenarios.Total_order_str.events_submitted;
-          Table.cell_int
-            (List.fold_left max 0 s.Scenarios.Total_order_str.chain_lengths);
-          bool_cell s.Scenarios.Total_order_str.prefix_consistent;
-          Table.cell_int
-            (List.fold_left max 0 s.Scenarios.Total_order_str.frontier_lags);
-          Table.cell_int s.Scenarios.Total_order_str.delivered_msgs;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* E11/E12: impossibility constructions                                 *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  let t =
-    Table.create
-      ~title:"E11: asynchronous impossibility (partitioned executions disagree)"
-      ~columns:[ "|A|"; "|B|"; "A decides"; "B decides"; "disagree"; "in-flight" ]
-  in
-  pool_rows t
-    [ (2, 2); (3, 3); (4, 4); (2, 6); (5, 3) ]
-    (fun (a, b) ->
-      let v = Ubpa_semisync.Partition.asynchronous ~size_a:a ~size_b:b () in
-      let uniq l = List.sort_uniq compare l in
-      [
-        [
-          Table.cell_int a;
-          Table.cell_int b;
-          String.concat ","
-            (List.map string_of_int (uniq v.Ubpa_semisync.Partition.outputs_a));
-          String.concat ","
-            (List.map string_of_int (uniq v.Ubpa_semisync.Partition.outputs_b));
-          bool_cell v.Ubpa_semisync.Partition.disagreement;
-          bool_cell v.Ubpa_semisync.Partition.undelivered_at_decision;
-        ];
-      ]);
-  t
-
-let e12 () =
-  let t =
-    Table.create
-      ~title:
-        "E12: semi-synchronous impossibility (finite delay bound, still disagree)"
-      ~columns:[ "delta"; "T_a"; "T_b"; "max delay"; "bounded"; "disagree" ]
-  in
-  pool_rows t
-    [ 8.; 16.; 64.; 256.; 1024. ]
-    (fun delta ->
-      match
-        Ubpa_semisync.Partition.semi_synchronous ~size_a:3 ~size_b:3 ~delta ()
-      with
-      | v ->
-          [
-            [
-              Table.cell_float ~digits:0 delta;
-              Table.cell_float ~digits:1 v.Ubpa_semisync.Partition.decision_time_a;
-              Table.cell_float ~digits:1 v.Ubpa_semisync.Partition.decision_time_b;
-              Table.cell_float ~digits:1 v.Ubpa_semisync.Partition.max_delay;
-              bool_cell (v.Ubpa_semisync.Partition.max_delay <= delta);
-              bool_cell v.Ubpa_semisync.Partition.disagreement;
-            ];
-          ]
-      | exception Invalid_argument _ ->
-          [
-            [
-              Table.cell_float ~digits:0 delta;
-              "-";
-              "-";
-              "-";
-              "-";
-              "premise fails";
-            ];
-          ]);
-  t
-
-
-(* ------------------------------------------------------------------ *)
-(* E13: the attack matrix — every implemented adversary against the     *)
-(* algorithm it targets, at full density f = (n-1)/3                    *)
-(* ------------------------------------------------------------------ *)
-
-let e13 () =
-  let t =
-    Table.create
-      ~title:
-        "E13: attack matrix (n = 10, f = 3 unless noted) — key safety \
-         property per adversary"
-      ~columns:[ "algorithm"; "adversary"; "property"; "holds" ]
-  in
-  (* Each matrix entry is one independent run, so each becomes one pool
-     cell producing its row; [pool_rows] keeps the written order. *)
-  let row alg adv prop ok = [ alg; adv; prop; bool_cell ok ] in
-  let n = 10 in
-  let f = 3 in
-  (* consensus *)
-  let cons byz name () =
-    let s =
-      Scenarios.Consensus_int.run ~byz ~n_correct:(n - List.length byz)
-        ~inputs:(fun i -> i mod 2)
-        ()
-    in
-    row "consensus" name "agreement"
-      (s.Scenarios.Consensus_int.all_terminated
-      && s.Scenarios.Consensus_int.agreed)
-  in
-  (* binary consensus *)
-  let bc byz name () =
-    let s =
-      Scenarios.Binary.run ~byz ~n_correct:(n - List.length byz)
-        ~inputs:(fun i -> i mod 2 = 0)
-        ()
-    in
-    row "binary-consensus" name "agreement+strong-validity"
-      (s.Scenarios.Binary.all_terminated && s.Scenarios.Binary.agreed
-      && s.Scenarios.Binary.valid)
-  in
-  (* approximate agreement *)
-  let aa byz name () =
-    let s =
-      Scenarios.Aa.run ~byz ~n_correct:(n - List.length byz)
-        ~inputs:(fun i -> float_of_int (10 * i))
-        ()
-    in
-    row "approx-agreement" name "containment+halving"
-      (s.Scenarios.Aa.within_range
-      && s.Scenarios.Aa.contraction <= 0.5 +. 1e-9)
-  in
-  let module Ca = Scenarios.Consensus_int.Attacks in
-  let cells =
-    [
-      cons (List.init f (fun _ -> Strategy.silent)) "silent";
-      cons (List.init f (fun _ -> Ca.silent_member)) "silent-member";
-      cons (List.init f (fun _ -> Ca.split_world 0 1)) "split-world";
-      cons (List.init f (fun i -> Ca.stubborn i)) "stubborn";
-      cons (List.init f (fun i -> Ca.half_stubborn i)) "half-stubborn";
-      cons (List.init f (fun _ -> Ubpa_adversary.Generic.mirror)) "mirror";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.split_mirror))
-        "split-mirror";
-      cons (List.init f (fun _ -> Ubpa_adversary.Generic.spam)) "spam";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.random_mix))
-        "random-mix";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.crash_after 6))
-        "crash-after-6";
-      cons
-        (List.init f (fun _ -> Ubpa_adversary.Generic.replay ~delay:2))
-        "replay-2";
-      cons
-        (List.init f (fun i ->
-             Ubpa_adversary.Combinators.switch_at ~round:8
-               Ubpa_adversary.Generic.mirror (Ca.split_world (i mod 2) 1)))
-        "turncoat";
-      bc
-        (List.init f (fun _ -> Ubpa_adversary.Bc_attacks.split_world))
-        "split-world";
-      bc (List.init f (fun _ -> Ubpa_adversary.Bc_attacks.stubborn true)) "stubborn";
-      aa
-        (List.init f (fun _ ->
-             Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6))
-        "pull-apart";
-      aa (List.init f (fun _ -> Ubpa_adversary.Aa_attacks.outlier 1e9)) "outlier";
-      aa
-        (List.init f (fun _ -> Ubpa_adversary.Aa_attacks.tracker ~offset:5.))
-        "tracker";
-      (* reliable broadcast *)
-      (fun () ->
-        let claimed = List.hd (Scenarios.make_ids ~seed:1L (n - f)) in
-        let rb =
-          Scenarios.Rb.run
-            ~byz:
-              (List.init f (fun _ ->
-                   Scenarios.Rb.Attacks.forging_echoer "x" ~claimed))
-            ~n_correct:(n - f) ~payload:"real" ()
-        in
-        row "reliable-broadcast" "forging-echoer" "unforgeability"
-          (List.for_all
-             (fun (_, entries) ->
-               not (List.exists (fun (m, _, _) -> m = "x") entries))
-             rb.Scenarios.Rb.accepted));
-      (fun () ->
-        let rb2 =
-          Scenarios.Rb.run
-            ~byz:
-              (Scenarios.Rb.Attacks.equivocating_sender "m1" "m2"
-              :: List.init (f - 1) (fun _ -> Strategy.silent))
-            ~byz_sender:true ~n_correct:(n - f) ~payload:"m1" ()
-        in
-        row "reliable-broadcast" "equivocating-sender" "all-or-none"
-          rb2.Scenarios.Rb.consistent_acceptance);
-      (* rotor *)
-      (fun () ->
-        let rot =
-          Scenarios.Rotor_int.run
-            ~byz:
-              (List.init f (fun i ->
-                   Scenarios.Rotor_int.Attacks.staggered_announcer
-                     ~fraction:(0.34 +. (0.08 *. float_of_int i))))
-            ~n_correct:(n - f) ()
-        in
-        row "rotor" "staggered-announcer" "good round"
-          (rot.Scenarios.Rotor_int.all_terminated
-          && rot.Scenarios.Rotor_int.good_round_exists));
-      (* parallel consensus *)
-      (fun () ->
-        let pc =
-          Scenarios.Parallel_int.run
-            ~byz:
-              [
-                Scenarios.Parallel_int.Attacks.ghost_instance ~id:99 1;
-                Scenarios.Parallel_int.Attacks.split_instance ~id:1 0 1;
-                Strategy.silent;
-              ]
-            ~n_correct:(n - 3)
-            ~inputs:(fun _ -> [ (1, 7) ])
-            ()
-        in
-        row "parallel-consensus" "ghost+split+silent" "pair-set agreement"
-          (pc.Scenarios.Parallel_int.all_terminated
-          && pc.Scenarios.Parallel_int.agreed));
-      (* renaming *)
-      (fun () ->
-        let rn =
-          Scenarios.Renaming_run.run
-            ~byz:
-              [
-                Ubpa_adversary.Rename_attacks.partial_announcer ~fraction:0.5;
-                Ubpa_adversary.Rename_attacks.vote_rusher;
-                Ubpa_adversary.Rename_attacks.churning_candidate;
-              ]
-            ~n_correct:(n - 3) ()
-        in
-        row "renaming" "partial+rusher+churn" "consistent dense names"
-          (rn.Scenarios.Renaming_run.all_terminated
-          && rn.Scenarios.Renaming_run.consistent
-          && rn.Scenarios.Renaming_run.names_are_dense));
-    ]
-  in
-  pool_rows t cells (fun cell -> [ cell () ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* A1: rotor ablation — n > 4f vs n > 3f densities                      *)
-(* ------------------------------------------------------------------ *)
-
-let a1 () =
-  let t =
-    Table.create ~title:"A1 (ablation): rotor at fault densities n>4f vs n>3f"
-      ~columns:[ "density"; "n"; "f"; "rounds(max)"; "good round" ]
-  in
-  pool_rows t
-    [
-      ("n>4f", 9, 2);
-      ("n>3f", 7, 2);
-      ("n>4f", 17, 4);
-      ("n>3f", 13, 4);
-      ("n>4f", 25, 6);
-      ("n>3f", 19, 6);
-    ]
-    (fun (label, n, f) ->
-      let byz =
-        List.init f (fun i ->
-            Scenarios.Rotor_int.Attacks.staggered_announcer
-              ~fraction:(0.34 +. (0.05 *. float_of_int (i mod 6))))
-      in
-      let s = Scenarios.Rotor_int.run ~byz ~n_correct:(n - f) () in
-      [
-        [
-          label;
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_int
-            (List.fold_left max 0 s.Scenarios.Rotor_int.termination_rounds);
-          bool_cell s.Scenarios.Rotor_int.good_round_exists;
-        ];
-      ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* A2: AA discard-rule ablation when f is misestimated                  *)
-(* ------------------------------------------------------------------ *)
-
-let dolev_under_attack ~n_correct ~byz_count ~assumed_f =
-  let ids = Scenarios.make_ids ~seed:74L (n_correct + byz_count) in
-  let correct_ids = List.filteri (fun i _ -> i < n_correct) ids in
-  let byz_ids = List.filteri (fun i _ -> i >= n_correct) ids in
-  let correct =
-    List.mapi
-      (fun i id ->
-        ( id,
-          { Da.value = float_of_int (10 * i); iterations = 1; f = assumed_f } ))
-      correct_ids
-  in
-  let byzantine =
-    List.map (fun id -> (id, da_pull_apart ~low:(-1e6) ~high:1e6)) byz_ids
-  in
-  let o = Da_h.execute ~correct ~byzantine () in
-  let outs =
-    List.map (fun (_, (p : Da.progress)) -> p.estimate) o.Da_h.outputs
-  in
-  match outs with
-  | [] -> false
-  | _ ->
-      let lo, hi = Stats.min_max outs in
-      let i_hi = float_of_int (10 * (n_correct - 1)) in
-      lo >= 0. && hi <= i_hi
-
-let a2 () =
-  let t =
-    Table.create
-      ~title:
-        "A2 (ablation): discard rule under extreme-value attack when f is \
-         misestimated"
-      ~columns:[ "rule"; "actual f"; "assumed f"; "in-range" ]
-  in
-  let n_correct = 7 in
-  pool_rows t [ 1; 2; 3 ] (fun actual_f ->
-      let byz =
-        List.init actual_f (fun _ ->
-            Ubpa_adversary.Aa_attacks.pull_apart ~low:(-1e6) ~high:1e6)
-      in
-      let ours =
-        Scenarios.Aa.run ~byz ~n_correct
-          ~inputs:(fun i -> float_of_int (10 * i))
-          ()
-      in
-      [
-        "id-only n_v/3";
-        Table.cell_int actual_f;
-        "-";
-        bool_cell ours.Scenarios.Aa.within_range;
-      ]
-      :: List.map
-           (fun assumed_f ->
-             [
-               "known-f";
-               Table.cell_int actual_f;
-               Table.cell_int assumed_f;
-               bool_cell
-                 (dolev_under_attack ~n_correct ~byz_count:actual_f ~assumed_f);
-             ])
-           [ actual_f; max 0 (actual_f - 1) ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* A3: appendix algorithms — terminating RB and renaming                *)
-(* ------------------------------------------------------------------ *)
-
-let a3 () =
-  let t =
-    Table.create ~title:"A3: appendix algorithms (terminating RB, renaming)"
-      ~columns:[ "algorithm"; "n"; "f"; "rounds"; "correct" ]
-  in
-  pool_rows t [ 0; 1; 2; 3; 4 ] (fun f ->
-      let n_correct = (2 * f) + 2 in
-      let trb =
-        Scenarios.Trb_str.run
-          ~byz:(List.init f (fun _ -> Strategy.silent))
-          ~n_correct ~payload:"m" ()
-      in
-      let rn =
-        Scenarios.Renaming_run.run
-          ~byz:(List.init f (fun _ -> Strategy.silent))
-          ~n_correct ()
-      in
-      [
-        [
-          "terminating-rb";
-          Table.cell_int trb.Scenarios.Trb_str.n;
-          Table.cell_int trb.Scenarios.Trb_str.f;
-          Table.cell_int trb.Scenarios.Trb_str.rounds;
-          bool_cell
-            (trb.Scenarios.Trb_str.agreed && trb.Scenarios.Trb_str.all_terminated);
-        ];
-        [
-          "renaming";
-          Table.cell_int rn.Scenarios.Renaming_run.n;
-          Table.cell_int rn.Scenarios.Renaming_run.f;
-          Table.cell_int rn.Scenarios.Renaming_run.rounds;
-          bool_cell
-            (rn.Scenarios.Renaming_run.consistent
-            && rn.Scenarios.Renaming_run.names_are_dense);
-        ];
-      ]);
-  t
-
-
-(* ------------------------------------------------------------------ *)
-(* A4: rotor-driven binary consensus (strong validity, O(n) rounds)    *)
-(* ------------------------------------------------------------------ *)
-
-let a4 () =
-  let t =
-    Table.create
-      ~title:
-        "A4: rotor-driven binary consensus — strong validity at O(n) rounds \
-         vs Algorithm 3's O(f)"
-      ~columns:
-        [ "n"; "f"; "adversary"; "rounds"; "agreed"; "strong-valid"; "msgs" ]
-  in
-  pool_rows t (f_sweep ()) (fun f ->
-      let n = (3 * f) + 1 in
-      List.map
-        (fun (label, byz) ->
-          let s =
-            Scenarios.Binary.run ~byz ~n_correct:(n - List.length byz)
-              ~inputs:(fun i -> i mod 2 = 0)
-              ()
-          in
-          [
-            Table.cell_int s.Scenarios.Binary.n;
-            Table.cell_int s.Scenarios.Binary.f;
-            label;
-            Table.cell_int s.Scenarios.Binary.rounds;
-            bool_cell s.Scenarios.Binary.agreed;
-            bool_cell s.Scenarios.Binary.valid;
-            Table.cell_int s.Scenarios.Binary.delivered_msgs;
-          ])
-        [
-          ("none", []);
-          ( "split-world",
-            List.init f (fun _ -> Ubpa_adversary.Bc_attacks.split_world) );
-          ( "stubborn",
-            List.init f (fun _ -> Ubpa_adversary.Bc_attacks.stubborn true) );
-        ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* PERF: engine throughput — the arena core vs the reference core       *)
-(* ------------------------------------------------------------------ *)
-
-module Rbs = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String)
-module Rbs_h = Harness.Make (Rbs)
-
-(* Multi-sender reliable broadcast is the engine's worst case: every
-   correct node is a designated sender, so from round 2 onwards each
-   inbox carries O(n^2) echo envelopes and the reference core's
-   per-delivery duplicate scan goes quadratic in inbox length. Every
-   round the network runs is raced against the reference core re-routing
-   the identical input ([perf_cell]); every cell except the
-   unit-suffixed timing columns (which `derive_metrics` skips) is
-   deterministic. *)
-let perf_rounds = 6
-let perf_reps = 3
-
-(* Serialize every node's accepted list (sorted by node id) into a
-   position-independent FNV-1a digest: equal digests mean byte-identical
-   outputs, not just equal counts. *)
-let rb_output_digest net =
-  let buf = Buffer.create 4096 in
-  let reports =
-    List.sort
-      (fun (a : Rbs_h.Net.node_report) (b : Rbs_h.Net.node_report) ->
-        Node_id.compare a.id b.id)
-      (Rbs_h.Net.reports net)
-  in
-  List.iter
-    (fun (r : Rbs_h.Net.node_report) ->
-      Buffer.add_string buf (string_of_int (Node_id.to_int r.id));
-      Buffer.add_char buf '[';
-      (match r.last_output with
-      | None -> ()
-      | Some out ->
-          List.iter
-            (fun (a : Rbs.accepted) ->
-              Buffer.add_string buf
-                (Printf.sprintf "(%s,%d,%d)" a.Rbs.payload
-                   (Node_id.to_int a.Rbs.sender)
-                   a.Rbs.accepted_round))
-            out);
-      Buffer.add_char buf ']')
-    reports;
-  fnv1a (Buffer.contents buf)
-
-(* One PERF cell: [reps] fresh networks of [rounds] rounds each, every
-   round re-routed through the reference core as soon as it ran. Returns
-   the network's round time (arena routing plus the protocol step) and
-   the oracle's (reference routing plus the inbox comparison), and
-   whether every round matched. *)
-let perf_cell ~seed ~reps ~rounds ~payload n =
-  let ids = Scenarios.make_ids ~seed n in
-  let correct = List.mapi (fun i id -> (id, payload i)) ids in
-  let net_ms = ref 0. and ref_ms = ref 0. and same = ref true in
-  let delivered = ref 0 and digest = ref 0L in
-  for _ = 1 to reps do
-    let net = Rbs_h.create ~correct ~byzantine:[] () in
-    let oracle = Harness.Reference.create () in
-    for _ = 1 to rounds do
-      let t0 = Clock.now_ms () in
-      Rbs_h.Net.step_round net;
-      let t1 = Clock.now_ms () in
-      Rbs_h.check_reference oracle net;
-      net_ms := !net_ms +. (t1 -. t0);
-      ref_ms := !ref_ms +. Clock.elapsed_ms ~since:t1
-    done;
-    delivered := Metrics.delivered (Rbs_h.Net.metrics net);
-    digest := rb_output_digest net;
-    same :=
-      !same
-      && Harness.Reference.agrees oracle
-      && Harness.Reference.delivered oracle = !delivered
-  done;
-  (!delivered, !digest, !same, !ref_ms, !net_ms)
-
-(* Scale rows: single-sender broadcast with n in the hundreds. One rep
-   and fewer rounds keep the reference side affordable. *)
-let perf_scale_rounds = 4
-
-(* Pool rows: one fixed consensus sweep timed at jobs=1 and at the
-   runtime's recommended parallelism. The digest proves both runs merged
-   identical cells in identical order; the speedup cell is informational
-   (it depends on the host's core count, so no claim gates on it — PERF2
-   is the machine-checked determinism gate). *)
-let perf_pool_cells =
-  List.concat_map
-    (fun f -> List.map (fun seed -> (f, seed)) [ 3L; 11L; 19L ])
-    [ 1; 2; 3 ]
-
-let perf_pool_run ~jobs =
-  let t0 = Clock.now_ms () in
-  let cells =
-    Pool.map ~jobs
-      (fun (f, seed) ->
-        let s =
-          Scenarios.Consensus_int.run ~seed
-            ~byz:
-              (List.init f (fun _ ->
-                   Scenarios.Consensus_int.Attacks.split_world 0 1))
-            ~n_correct:((2 * f) + 1)
-            ~inputs:(fun i -> i mod 2)
-            ()
-        in
-        ( Printf.sprintf "f=%d seed=%Ld rounds=%d agreed=%b msgs=%d" f seed
-            (List.fold_left max 0 s.Scenarios.Consensus_int.decision_rounds)
-            s.Scenarios.Consensus_int.agreed
-            s.Scenarios.Consensus_int.delivered_msgs,
-          s.Scenarios.Consensus_int.delivered_msgs ))
-      perf_pool_cells
-  in
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  let digest = fnv1a (String.concat "\n" (List.map fst cells)) in
-  let msgs = List.fold_left (fun acc (_, m) -> acc + m) 0 cells in
-  (elapsed, msgs, digest)
-
-let perf () =
-  let t =
-    Table.create
-      ~title:
-        "PERF: engine throughput — multi-sender RB and single-sender \
-         scale rows up to n=301, every round re-routed through the \
-         reference core (elapsed is the network's rounds, arena routing \
-         plus step; speedup is reference routing / elapsed), and the pool \
-         executor on a fixed consensus sweep (digest cells are \
-         deterministic; elapsed/speedup are timing)"
-      ~columns:
-        [
-          "workload"; "n"; "engine"; "rounds"; "msgs"; "digest"; "reference";
-          "elapsed"; "rounds/s"; "msgs/s"; "speedup";
-        ]
-  in
-  let add ~workload ~n ~engine ~rounds ~msgs ~digest ~reference ~ms ~speedup =
-    let per_s count = float_of_int count /. (Float.max ms 1e-3 /. 1000.) in
-    Table.add_row t
-      [
-        workload;
-        n;
-        engine;
-        Table.cell_int rounds;
-        Table.cell_int msgs;
-        digest;
-        reference;
-        Printf.sprintf "%.1fms" ms;
-        Printf.sprintf "%.0f/s" (per_s rounds);
-        Printf.sprintf "%.0f/s" (per_s msgs);
-        speedup;
-      ]
-  in
-  let race ~workload ~seed ~reps ~rounds ~payload n =
-    let msgs, digest, same, ref_ms, net_ms =
-      perf_cell ~seed ~reps ~rounds ~payload n
-    in
-    add ~workload ~n:(Table.cell_int n) ~engine:"arena" ~rounds:(reps * rounds)
-      ~msgs ~digest:(digest_cell digest) ~reference:(bool_cell same) ~ms:net_ms
-      ~speedup:(Table.cell_float ~digits:2 (ref_ms /. Float.max net_ms 1e-6))
-  in
-  let sizes = if !fast then [ 8; 13; 21 ] else [ 13; 25; 40; 61 ] in
-  List.iter
-    (race ~workload:"multi-rb" ~seed:97L ~reps:perf_reps ~rounds:perf_rounds
-       ~payload:(fun i -> Some (Printf.sprintf "m%d" i)))
-    sizes;
-  let scale_sizes = if !fast then [ 301 ] else [ 151; 301 ] in
-  List.iter
-    (race ~workload:"scale-rb" ~seed:98L ~reps:1 ~rounds:perf_scale_rounds
-       ~payload:(fun i -> if i = 0 then Some "m" else None))
-    scale_sizes;
-  let jmax = max 2 (Pool.available_parallelism ()) in
-  let serial_ms, serial_msgs, serial_dig = perf_pool_run ~jobs:1 in
-  let par_ms, par_msgs, par_dig = perf_pool_run ~jobs:jmax in
-  add ~workload:"pool-sweep" ~n:"-" ~engine:"jobs=1"
-    ~rounds:(List.length perf_pool_cells) ~msgs:serial_msgs
-    ~digest:(digest_cell serial_dig) ~reference:"-" ~ms:serial_ms ~speedup:"-";
-  add ~workload:"pool-sweep" ~n:"-"
-    ~engine:(Printf.sprintf "jobs=%d" jmax)
-    ~rounds:(List.length perf_pool_cells) ~msgs:par_msgs
-    ~digest:(digest_cell par_dig) ~reference:"-" ~ms:par_ms
-    ~speedup:(Table.cell_float ~digits:2 (serial_ms /. Float.max par_ms 1e-6));
-  t
-
-(* ------------------------------------------------------------------ *)
-(* PERF2: the determinism gate for the multicore sweep executor         *)
-(* ------------------------------------------------------------------ *)
-
-(* Every sub-sweep below is seed-deterministic and timing-free. Each is
-   re-run at jobs = 1, 2 and 8 regardless of --jobs or --fast, and each
-   row carries the FNV-1a digest of its cell results in merge order, so
-   the finished table is byte-identical on any machine, at any --jobs,
-   under either pool backend. It is committed to bench/baseline, which
-   makes `bench_diff --exact` (and the CI claim gate) turn any ordering
-   or determinism regression in the executor into a hard failure. *)
-
-let perf2 () =
-  let t =
-    Table.create
-      ~title:
-        "PERF2: multicore sweep executor determinism — fixed sub-sweeps \
-         re-run at jobs=1/2/8 must merge cell-for-cell identically \
-         (digests independent of --fast, --jobs, machine, pool backend)"
-      ~columns:[ "sweep"; "jobs"; "cells"; "digest"; "match" ]
-  in
-  let sweeps =
-    [
-      ( "pool-map",
-        fun ~jobs ->
-          Pool.map ~jobs
-            (fun i -> Printf.sprintf "%d:%d" i ((i * i * 31) + 7))
-            (List.init 64 Fun.id) );
-      ( "consensus-f",
-        fun ~jobs ->
-          Pool.map ~jobs
-            (fun (f, seed) ->
-              let s =
-                Scenarios.Consensus_int.run ~seed
-                  ~byz:
-                    (List.init f (fun _ ->
-                         Scenarios.Consensus_int.Attacks.split_world 0 1))
-                  ~n_correct:((2 * f) + 1)
-                  ~inputs:(fun i -> i mod 2)
-                  ()
-              in
-              Printf.sprintf "f=%d seed=%Ld rounds=%d agreed=%b msgs=%d" f
-                seed
-                (List.fold_left max 0
-                   s.Scenarios.Consensus_int.decision_rounds)
-                s.Scenarios.Consensus_int.agreed
-                s.Scenarios.Consensus_int.delivered_msgs)
-            (List.concat_map
-               (fun f -> List.map (fun seed -> (f, seed)) [ 3L; 11L ])
-               [ 1; 2 ]) );
-      ( "rb-n",
-        fun ~jobs ->
-          Pool.map ~jobs
-            (fun n ->
-              let s = Scenarios.Rb.run ~n_correct:n ~payload:"m" () in
-              Printf.sprintf "n=%d acc=%b cons=%b r=%d-%d msgs=%d" n
-                s.Scenarios.Rb.all_accepted_sender_payload
-                s.Scenarios.Rb.consistent_acceptance
-                s.Scenarios.Rb.min_accept_round
-                s.Scenarios.Rb.max_accept_round s.Scenarios.Rb.delivered_msgs)
-            [ 4; 7; 13 ] );
-      ( "chaos-mini",
-        fun ~jobs ->
-          let rows, records =
-            Chaos_runs.sweep ~jobs ~protocols:[ "rb" ] ~budgets:[ 0; 1 ]
-              ~seeds_per_budget:2 ()
-          in
-          List.map
-            (fun (r : Chaos.row) ->
-              Printf.sprintf "%s b=%d green=%d violated=%d" r.Chaos.protocol
-                r.Chaos.budget r.Chaos.green r.Chaos.violated)
-            rows
-          @ List.map
-              (fun (rc : Chaos_runs.run_record) ->
-                Printf.sprintf "%s seed=%Ld b=%d v=%b"
-                  rc.Chaos_runs.protocol rc.Chaos_runs.seed
-                  rc.Chaos_runs.budget
-                  (rc.Chaos_runs.violation <> None))
-              records );
-    ]
-  in
-  List.iter
-    (fun (name, run) ->
-      let reference = ref "" in
-      List.iter
-        (fun jobs ->
-          let cells = run ~jobs in
-          let digest = digest_cell (fnv1a (String.concat "\n" cells)) in
-          if jobs = 1 then reference := digest;
-          Table.add_row t
-            [
-              name;
-              Table.cell_int jobs;
-              Table.cell_int (List.length cells);
-              digest;
-              bool_cell (String.equal digest !reference);
-            ])
-        [ 1; 2; 8 ])
-    sweeps;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* SCALE: engine v3 arena core at n up to 10,000                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The existing experiments stop around n=301 because every workload is
-   Ω(n²) deliveries. SCALE sweeps the arena core far past that:
-   single-sender RB to n = 10,000 and all-correct consensus to n = 301,
-   with wire accounting on (each broadcast is charged once, so the
-   observer costs no fan-out). At every overlap size the identical
-   workload also runs with every round re-routed through the reference
-   core (Harness.check_reference); that "reference" row reports the
-   oracle's round and delivered counts, and the run's digest only if no
-   round diverged. Both rows must match — the identity claim that lets
-   the larger arena-only rows be trusted. The minor-w/msg column is GC
-   minor words allocated per delivered message; the arena core's whole
-   point is that this stays flat as n explodes (the inbox lists the
-   protocol reads are the only steady-state allocation). Unit suffixes
-   keep the alloc/timing cells out of metric comparison; bench_diff
-   additionally exempts them from exact mode. *)
-
-(* The row an overlap run reports: the oracle's view of the run when
-   [oracle] is given, the run's own otherwise. *)
-let scale_row ?oracle ~rounds ~delivered ~digest ms words =
-  match oracle with
-  | None -> (rounds, delivered, digest, ms, words)
-  | Some r ->
-      ( Harness.Reference.rounds r,
-        Harness.Reference.delivered r,
-        (match Harness.Reference.divergence r with
-        | None -> digest
-        | Some what -> fnv1a what),
-        ms,
-        words )
-
-let scale_rb_run ?oracle ~n () =
-  let ids = Scenarios.make_ids ~seed:98L n in
-  let correct =
-    List.mapi (fun i id -> (id, if i = 0 then Some "m" else None)) ids
-  in
-  let net = Rbs_h.create ~correct ~byzantine:[] () in
-  let w0 = Gc.minor_words () in
-  let t0 = Clock.now_ms () in
-  for _ = 1 to perf_scale_rounds do
-    Rbs_h.Net.step_round net;
-    Option.iter (fun r -> Rbs_h.check_reference r net) oracle
-  done;
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  let words = Gc.minor_words () -. w0 in
-  scale_row ?oracle ~rounds:perf_scale_rounds
-    ~delivered:(Metrics.delivered (Rbs_h.Net.metrics net))
-    ~digest:(rb_output_digest net) elapsed words
-
-let consensus_output_digest net =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (r : Cint_h.Net.node_report) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%s:%s;" (Node_id.to_int r.id)
-           (match r.last_output with
-           | Some v -> string_of_int v
-           | None -> "-")
-           (match r.first_output_round with
-           | Some v -> string_of_int v
-           | None -> "-")))
-    (List.sort
-       (fun (a : Cint_h.Net.node_report) (b : Cint_h.Net.node_report) ->
-         Node_id.compare a.id b.id)
-       (Cint_h.Net.reports net));
-  fnv1a (Buffer.contents buf)
-
-let scale_consensus_run ?oracle ~n () =
-  let ids = Scenarios.make_ids ~seed:99L n in
-  let correct = List.mapi (fun i id -> (id, i mod 2)) ids in
-  let net = Cint_h.create ~correct ~byzantine:[] () in
-  let w0 = Gc.minor_words () in
-  let t0 = Clock.now_ms () in
-  while (not (Cint_h.Net.all_halted net)) && Cint_h.Net.round net < 100 do
-    Cint_h.Net.step_round net;
-    Option.iter (fun r -> Cint_h.check_reference r net) oracle
-  done;
-  let elapsed = Clock.elapsed_ms ~since:t0 in
-  let words = Gc.minor_words () -. w0 in
-  scale_row ?oracle ~rounds:(Cint_h.Net.round net)
-    ~delivered:(Metrics.delivered (Cint_h.Net.metrics net))
-    ~digest:(consensus_output_digest net) elapsed words
-
-let scale () =
-  let t =
-    Table.create
-      ~title:
-        "SCALE: arena delivery at large n — single-sender RB to n=10,000 \
-         and all-correct consensus to n=301 (55M deliveries), wire \
-         accounting on; reference-oracle identity gated at every overlap \
-         size, minor-w/msg is the flat-allocation evidence (alloc/timing \
-         cells are unit-suffixed and exempt from exact diff)"
-      ~columns:
-        [
-          "workload"; "n"; "engine"; "rounds"; "delivered"; "digest";
-          "minor-w/msg"; "elapsed"; "msgs/s";
-        ]
-  in
-  let add ~workload ~n ~engine (rounds, delivered, digest, ms, words) =
-    Table.add_row t
-      [
-        workload;
-        Table.cell_int n;
-        engine;
-        Table.cell_int rounds;
-        Table.cell_int delivered;
-        digest_cell digest;
-        Printf.sprintf "%.1fw" (words /. float_of_int (max delivered 1));
-        Printf.sprintf "%.1fms" ms;
-        Printf.sprintf "%.0f/s"
-          (float_of_int delivered /. (Float.max ms 1e-3 /. 1000.));
-      ]
-  in
-  let sweep ~workload ~run ~overlap ~large =
-    List.iter
-      (fun n ->
-        let oracle = Harness.Reference.create () in
-        add ~workload ~n ~engine:"reference" (run ?oracle:(Some oracle) ~n ());
-        add ~workload ~n ~engine:"arena" (run ?oracle:None ~n ()))
-      overlap;
-    List.iter
-      (fun n -> add ~workload ~n ~engine:"arena" (run ?oracle:None ~n ()))
-      large
-  in
-  sweep ~workload:"rb-1sender" ~run:scale_rb_run ~overlap:[ 61; 301 ]
-    ~large:(if !fast then [] else [ 1_001; 3_001; 10_000 ]);
-  (* Consensus deliveries grow ~n^3 (rotor candidate echoes scale with
-     n), so the large band stops at n=301 — already 55M deliveries; the
-     n^2 RB workload is the one that carries the population to 10,000.
-     The reference core's duplicate scan is linear in inbox length, so
-     its consensus overlap stops at n=31: at n=61 it alone takes ~7 s. *)
-  sweep ~workload:"consensus" ~run:scale_consensus_run ~overlap:[ 31 ]
-    ~large:(if !fast then [ 61 ] else [ 61; 301 ]);
-  t
-
-(* ------------------------------------------------------------------ *)
-(* R1: chaos sweep — graceful degradation under benign faults          *)
-(* ------------------------------------------------------------------ *)
-
-let r1 () =
-  let t =
-    Table.create
-      ~title:
-        "R1: seeded chaos sweep, monitor verdicts per protocol and fault \
-         budget (n=11 with one Byzantine mirror, f=3; inside the envelope \
-         — crash/omission-only and budget+byz <= f — every monitor must \
-         stay green)"
-      ~columns:
-        [
-          "protocol"; "budget"; "byz"; "n"; "envelope"; "runs"; "green";
-          "violated"; "reported"; "sample violation";
-        ]
-  in
-  (* The sweep size is the claim (>= 50 within-envelope schedules), so it
-     is fixed regardless of --fast. *)
-  let rows, _records = Chaos_runs.sweep ?jobs:!jobs () in
-  List.iter
-    (fun (r : Chaos.row) ->
-      Table.add_row t
-        [
-          r.protocol;
-          Table.cell_int r.budget;
-          Table.cell_int r.byz;
-          Table.cell_int r.n;
-          bool_cell r.within;
-          Table.cell_int r.runs;
-          Table.cell_int r.green;
-          Table.cell_int r.violated;
-          Table.cell_int r.reported;
-          r.sample;
-        ])
-    rows;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* CX1: wire-level complexity accounting                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The paper's bounds are message/bit-complexity statements; CX1 measures
-   what actually crosses the wire (Ubpa_obs.Wire, fed at the delivery
-   core's accept points) and fits the measured curves against
-   c*n^k envelopes (Ubpa_obs.Complexity). The fits land in the artifact's
-   schema-v2 `complexity` block and are mirrored as claims; the sweep is
-   fixed regardless of --fast because envelope calibration needs the same
-   points on every run. [cx1_fits]/[cx1_trace] are side channels into the
-   generic artifact-writing loop below. *)
-let cx1_fits : Ubpa_obs.Complexity.fit list ref = ref []
-let cx1_trace : string ref = ref ""
-
-let fit_holds fits name =
-  List.exists
-    (fun (f : Ubpa_obs.Complexity.fit) -> String.equal f.name name && f.holds)
-    fits
-
-let cx1 () =
-  let module V = Unknown_ba.Value in
-  let module Rb = Unknown_ba.Reliable_broadcast.Make (V.String) in
-  let module Hr = Harness.Make (Rb) in
-  let module C = Unknown_ba.Consensus.Make (V.Int) in
-  let module Hc = Harness.Make (C) in
-  let module Hb = Harness.Make (Unknown_ba.Binary_consensus) in
-  let everyone_accepted net =
-    let reports = Hr.Net.reports net in
-    reports <> []
-    && List.for_all
-         (fun r ->
-           match r.Hr.Net.last_output with
-           | Some (_ :: _) -> true
-           | _ -> false)
-         reports
-  in
-  let rb_run ?reference ?trace n =
-    let ids = Harness.make_ids ~seed:101L n in
-    let sender = List.hd ids in
-    let correct =
-      List.map
-        (fun id -> (id, if Node_id.equal id sender then Some "m" else None))
-        ids
-    in
-    let o =
-      Hr.execute ?trace ?reference ~seed:101L ~max_rounds:40
-        ~stop:everyone_accepted ~settle:2 ~correct ~byzantine:[] ()
-    in
-    Hr.Net.wire o.Hr.net
-  in
-  let consensus_run ~reference n =
-    let ids = Harness.make_ids ~seed:102L n in
-    let correct = List.mapi (fun i id -> (id, i mod 2)) ids in
-    let o =
-      Hc.execute ~reference ~seed:102L ~max_rounds:1000 ~correct
-        ~byzantine:[] ()
-    in
-    Hc.Net.wire o.Hc.net
-  in
-  let binary_run ~reference n =
-    let ids = Harness.make_ids ~seed:103L n in
-    let correct = List.mapi (fun i id -> (id, i mod 2 = 0)) ids in
-    let o =
-      Hb.execute ~reference ~seed:103L ~max_rounds:2000 ~correct
-        ~byzantine:[] ()
-    in
-    Hb.Net.wire o.Hb.net
-  in
-  let t =
-    Table.create
-      ~title:
-        "CX1: wire-level complexity (all-correct sweeps; counters from the \
-         delivery core's accept points, cross-checked per round against the \
-         reference core)"
-      ~columns:[ "algo"; "n"; "wire msgs"; "wire bits"; "cross-core" ]
-  in
-  let ns = [ 5; 9; 13; 21; 31 ] in
-  let runs =
-    [
-      ("rb", fun ~reference n -> rb_run ~reference n);
-      ("consensus", consensus_run);
-      ("binary", binary_run);
-    ]
-  in
-  let cells =
-    Pool.map ?jobs:!jobs
-      (fun n ->
-        List.map
-          (fun (algo, run) ->
-            let reference = Harness.Reference.create () in
-            let w = run ~reference n in
-            ( algo,
-              n,
-              Ubpa_obs.Wire.messages w,
-              Ubpa_obs.Wire.bits w,
-              Harness.Reference.agrees reference
-              && Ubpa_obs.Wire.equal w (Harness.Reference.wire reference) ))
-          runs)
-      ns
-    |> List.concat
-  in
-  List.iter
-    (fun (algo, n, msgs, bits, same) ->
-      Table.add_row t
-        [
-          algo;
-          Table.cell_int n;
-          Table.cell_int msgs;
-          Table.cell_int bits;
-          bool_cell same;
-        ])
-    cells;
-  let points algo pick =
-    List.filter_map
-      (fun (a, n, msgs, bits, _) ->
-        if String.equal a algo then Some (n, float_of_int (pick msgs bits))
-        else None)
-      cells
-  in
-  cx1_fits :=
-    [
-      (* RB: O(n^2) messages (each of n nodes echoes/readies to all n), and
-         constant-size payloads keep bits on the same envelope. *)
-      Ubpa_obs.Complexity.fit ~name:"rb.msgs" ~exponent:2
-        (points "rb" (fun m _ -> m));
-      Ubpa_obs.Complexity.fit ~name:"rb.bits" ~exponent:2
-        (points "rb" (fun _ b -> b));
-      (* Consensus: O(f) phases of all-to-all traffic -> O(n^3) messages;
-         the envelope is an upper bound, so terminating early and landing
-         well under it still passes. *)
-      Ubpa_obs.Complexity.fit ~name:"consensus.msgs" ~exponent:3
-        (points "consensus" (fun m _ -> m));
-      (* Binary consensus: the hand-written one-bit sizer keeps wire bits
-         within the O(n^3) budget of rotor-paced voting. *)
-      Ubpa_obs.Complexity.fit ~name:"binary.bits" ~exponent:3
-        (points "binary" (fun _ b -> b));
-    ];
-  (* A small traced run for the observability tooling: TRACE_CX1.jsonl is
-     what `ubpa trace --file` examples and the CI trace artifact read. *)
-  let tr = Trace.create () in
-  let (_ : Ubpa_obs.Wire.t) = rb_run ~trace:tr 5 in
-  cx1_trace := Trace.to_jsonl tr;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* CX2: sub-quadratic committee agreement — per-node bit budgets        *)
-(* ------------------------------------------------------------------ *)
-
-(* The protocol side of the scalability story (docs/SCALABILITY.md): the
-   King–Saia-style committee protocol, population n into the thousands
-   with f = n/6 mixed Byzantine strategies, and the gated quantity is
-   the *per-node* budget —
-   sent + received bits of the densest node (Ubpa_obs.Wire.budget_of) —
-   fitted against a c·√n·(log₂n)² envelope (Ubpa_obs.Complexity,
-   Sqrt_polylog shape). The sweep keeps n ∈ {301, 1001, 3001} in full
-   mode (the committed baseline) and shrinks only under --fast; fits are
-   calibrated on the smallest swept point either way. At the smallest n
-   every round is re-routed through the reference core and must match
-   inbox for inbox, with per-delivery wire counters equal to the
-   network's — the cross-core identity that lets the larger rows be
-   trusted (CX1's claim, at the committee protocol's sparse fan-out
-   shape). *)
-let cx2_fits : Ubpa_obs.Complexity.fit list ref = ref []
-
-let cx2 () =
-  let module C = Scenarios.Committee_int in
-  let ns = if !fast then [ 31; 61; 101 ] else [ 301; 1_001; 3_001 ] in
-  let overlap_n = List.hd ns in
-  let byz_mix f =
-    List.init f (fun i ->
-        match i mod 3 with
-        | 0 -> C.Attacks.silent_member
-        | 1 -> C.Attacks.report_flood 99
-        | _ -> C.Attacks.inner_split 0 1)
-  in
-  let workloads =
-    [ ("split", fun i -> i mod 2); ("unanimous", fun _ -> 7) ]
-  in
-  let run ?reference ~inputs n =
-    let f = n / 6 in
-    C.run ~seed:104L ?reference ~max_rounds:400 ~byz:(byz_mix f)
-      ~n_correct:(n - f) ~inputs ()
-  in
-  let t =
-    Table.create
-      ~title:
-        "CX2: committee-sampling agreement (K=2sqrt(n) committee, \
-         q=2log2(n) attestors, f=n/6 mixed adversaries, arena core, wire \
-         accounting on) — the gated quantity is the densest node's \
-         sent+received budget against a c*sqrt(n)*log^2(n) envelope"
-      ~columns:
-        [
-          "workload"; "n"; "f"; "k"; "byz-in-k"; "q"; "rounds"; "agreed";
-          "valid"; "halted"; "monitors"; "node-msgs(max)"; "node-bits(max)";
-          "cross-core";
-        ]
-  in
-  let cells =
-    Pool.map ?jobs:!jobs
-      (fun n ->
-        List.map
-          (fun (workload, inputs) ->
-            let reference =
-              if n = overlap_n then Some (Harness.Reference.create ()) else None
-            in
-            let s = run ?reference ~inputs n in
-            let cross =
-              match reference with
-              | None -> "-"
-              | Some r ->
-                  Table.cell_bool
-                    (Harness.Reference.agrees r
-                    && Harness.Reference.delivered r = s.C.delivered_msgs
-                    && Ubpa_obs.Wire.equal (Harness.Reference.wire r) s.C.wire)
-            in
-            (workload, n, s, cross))
-          workloads)
-      ns
-    |> List.concat
-  in
-  List.iter
-    (fun (workload, n, (s : C.summary), cross) ->
-      Table.add_row t
-        [
-          workload;
-          Table.cell_int n;
-          Table.cell_int s.C.f;
-          Table.cell_int (List.length s.C.committee);
-          Table.cell_int s.C.byz_members;
-          Table.cell_int s.C.attestor_q;
-          Table.cell_int s.C.rounds;
-          bool_cell s.C.agreed;
-          bool_cell s.C.valid;
-          bool_cell s.C.all_terminated;
-          bool_cell s.C.monitor_green;
-          Table.cell_int s.C.max_budget_msgs;
-          Table.cell_int s.C.max_budget_bits;
-          cross;
-        ])
-    cells;
-  (* One point per n: the worst (max) per-node budget across workloads —
-     the envelope must hold for the hardest cell, not an average. *)
-  let points pick =
-    List.sort_uniq compare (List.map (fun (_, n, _, _) -> n) cells)
-    |> List.map (fun n ->
-           ( n,
-             List.fold_left
-               (fun acc (_, n', s, _) ->
-                 if n' = n then Float.max acc (float_of_int (pick s)) else acc)
-               0. cells ))
-  in
-  cx2_fits :=
-    [
-      Ubpa_obs.Complexity.fit_shape ~name:"committee.node-bits"
-        ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
-        (points (fun s -> s.C.max_budget_bits));
-      Ubpa_obs.Complexity.fit_shape ~name:"committee.node-msgs"
-        ~shape:(Ubpa_obs.Complexity.Sqrt_polylog 2)
-        (points (fun s -> s.C.max_budget_msgs));
-    ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* RT1: networked runtime vs lockstep simulator                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Eight fixed cells (cells do not shrink under --fast: the equivalences
-   ARE the claims, like MC1/CX1): rb and consensus, each on both
-   transports at n = 4 and 7, all-correct populations, rounds run flat
-   out. Every cell runs the protocol on actual concurrent per-node
-   processes, replays the recorded delivery schedule through the
-   simulator's reference core, and runs a fresh simulator instance on the
-   same population; the oracle / sim / wire columns are
-   Runtime_exec.compare_with_sim's check verdicts. Byte counts are
-   deliberately absent from the table — frame counts are deterministic,
-   marshalled sizes are an implementation detail of the OCaml version.
-   Needs OCaml 5; the sequential fallback renders error rows (CI only
-   gates RT1 on the 5.x leg, next to the pool-backend assertions). *)
-let rt1 () =
-  let t =
-    Table.create
-      ~title:
-        "RT1: networked runtime, per-node processes vs the lockstep \
-         simulator as a trace-equivalence oracle (see docs/OBSERVABILITY.md)"
-      ~columns:
-        [
-          "protocol";
-          "transport";
-          "n";
-          "rounds";
-          "decided";
-          "msgs";
-          "bits";
-          "frames";
-          "late";
-          "oracle";
-          "sim-equal";
-          "wire-equal";
-        ]
-  in
-  let module Ec = Runtime_exec.Make (Scenarios.Consensus_int.P) in
-  let module Er = Runtime_exec.Make (Scenarios.Rb.P) in
-  let add_row ~proto ~transport ~n = function
-    | Error e ->
-        Table.add_row t
-          [ proto; transport; Table.cell_int n; e; "-"; "-"; "-"; "-"; "-";
-            "no"; "no"; "no" ]
-    | Ok (rounds, decided, msgs, bits, frames, late, checks) ->
-        let ok name =
-          List.exists (fun (c, ok, _) -> String.equal c name && ok) checks
-        in
-        Table.add_row t
-          [
-            proto;
-            transport;
-            Table.cell_int n;
-            Table.cell_int rounds;
-            Table.cell_int decided;
-            Table.cell_int msgs;
-            Table.cell_int bits;
-            Table.cell_int frames;
-            Table.cell_int late;
-            bool_cell (ok "oracle-replay");
-            bool_cell (ok "decisions" && ok "decide-rounds" && ok "rounds"
-                      && ok "trace");
-            bool_cell (ok "wire");
-          ]
-  in
-  List.iter
-    (fun n ->
-      let ids = Harness.make_ids ~seed:1L n in
-      List.iter
-        (fun (tname, transport) ->
-          add_row ~proto:"rb" ~transport:tname ~n
-            (match
-               Er.compare_with_sim ~transport ~max_rounds:6
-                 ~correct:
-                   (List.mapi
-                      (fun i id -> (id, if i = 0 then Some "m" else None))
-                      ids)
-                 ()
-             with
-            | Error e -> Error e
-            | Ok v ->
-                Ok
-                  ( v.Er.v_run.Er.RT.r_rounds,
-                    List.length
-                      (List.filter
-                         (fun (s : Er.RT.node_summary) ->
-                           s.Er.RT.ns_output <> None)
-                         v.Er.v_run.Er.RT.r_nodes),
-                    Ubpa_obs.Wire.messages v.Er.v_run.Er.RT.r_wire,
-                    Ubpa_obs.Wire.bits v.Er.v_run.Er.RT.r_wire,
-                    v.Er.v_run.Er.RT.r_frames,
-                    v.Er.v_run.Er.RT.r_late_frames,
-                    List.map
-                      (fun c -> (c.Er.c_name, c.Er.c_ok, c.Er.c_detail))
-                      v.Er.v_checks ));
-          add_row ~proto:"consensus" ~transport:tname ~n
-            (match
-               Ec.compare_with_sim ~transport ~max_rounds:40
-                 ~correct:(List.mapi (fun i id -> (id, i mod 2)) ids)
-                 ()
-             with
-            | Error e -> Error e
-            | Ok v ->
-                Ok
-                  ( v.Ec.v_run.Ec.RT.r_rounds,
-                    List.length
-                      (List.filter
-                         (fun (s : Ec.RT.node_summary) ->
-                           s.Ec.RT.ns_output <> None)
-                         v.Ec.v_run.Ec.RT.r_nodes),
-                    Ubpa_obs.Wire.messages v.Ec.v_run.Ec.RT.r_wire,
-                    Ubpa_obs.Wire.bits v.Ec.v_run.Ec.RT.r_wire,
-                    v.Ec.v_run.Ec.RT.r_frames,
-                    v.Ec.v_run.Ec.RT.r_late_frames,
-                    List.map
-                      (fun c -> (c.Ec.c_name, c.Ec.c_ok, c.Ec.c_detail))
-                      v.Ec.v_checks )))
-        [ ("domains", `Domains); ("socket", `Socket) ])
-    [ 4; 7 ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* RT2: fault-tolerant networked runtime                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Sixteen fixed cells (8 fault configurations x both transports; cells
-   do not shrink under --fast): fault-free cells re-run the full RT1
-   exact-equivalence gate; within-budget cells (loss, delay, single
-   crash) gate on graceful degradation (delivered-schedule oracle,
-   monitors with victims excused, survivor agreement and decision); one
-   deliberately beyond-budget cell (total receive-omission isolates a
-   node) is EXPECTED to violate — its point is the committed,
-   replayable counterexample trace (TRACE_RT2.jsonl). Every fault
-   decision draws from per-directed-edge splitmix64 streams keyed by
-   (seed, src, dst, direction), so all cells — including the injected
-   counters — are byte-identical across transports, schedulers and
-   --jobs. Crash cells need a real deadline (round_ms > 0): wall-clock
-   "missing" counts are deliberately absent from the table; only the
-   round-counted dead-peer marks are gated. *)
-let rt2_trace : string ref = ref ""
-
-let rt2 () =
-  let t =
-    Table.create
-      ~title:
-        "RT2: fault-tolerant networked runtime — wire fault injection, \
-         deadline-based rounds, graceful degradation under the delivered-\
-         schedule oracle (see docs/OBSERVABILITY.md)"
-      ~columns:
-        [
-          "protocol";
-          "transport";
-          "faults";
-          "n";
-          "rounds";
-          "decided";
-          "survivors";
-          "late";
-          "lost";
-          "dup";
-          "delayed";
-          "dead";
-          "oracle";
-          "safety";
-          "mode";
-          "ok";
-        ]
-  in
-  let module Ec = Runtime_exec.Make (Scenarios.Consensus_int.P) in
-  let module Er = Runtime_exec.Make (Scenarios.Rb.P) in
-  (* RB's degradation agreement relation: consistency of the accepted
-     streams — no sender accepted with two different payloads. *)
-  let rb_consistent (a : Scenarios.Rb.P.output) (b : Scenarios.Rb.P.output) =
-    List.for_all
-      (fun (x : Scenarios.Rb.P.accepted) ->
-        List.for_all
-          (fun (y : Scenarios.Rb.P.accepted) ->
-            (not (Node_id.equal x.Scenarios.Rb.P.sender y.Scenarios.Rb.P.sender))
-            || String.equal x.Scenarios.Rb.P.payload y.Scenarios.Rb.P.payload)
-          b)
-      a
-  in
-  let error_row ~proto ~transport ~fname ~n e =
-    Table.add_row t
-      [ proto; transport; fname; Table.cell_int n; e; "-"; "-"; "-"; "-"; "-";
-        "-"; "-"; "no"; "no"; "error"; "no" ]
-  in
-  let row ~proto ~transport ~fname ~n ~mode ~rounds ~decided ~survivors ~late
-      ~lost ~dup ~delayed ~dead ~oracle ~safety ~ok =
-    Table.add_row t
-      [
-        proto;
-        transport;
-        fname;
-        Table.cell_int n;
-        Table.cell_int rounds;
-        Table.cell_int decided;
-        Table.cell_int survivors;
-        Table.cell_int late;
-        Table.cell_int lost;
-        Table.cell_int dup;
-        Table.cell_int delayed;
-        Table.cell_int dead;
-        bool_cell oracle;
-        bool_cell safety;
-        mode;
-        bool_cell ok;
-      ]
-  in
-  let plan_of ~ids spec =
-    match Ubpa_faults.parse_spec ~ids spec with
-    | Ok p -> p
-    | Error e -> failwith ("RT2: bad fault spec " ^ spec ^ ": " ^ e)
-  in
-  let transports = [ ("domains", `Domains); ("socket", `Socket) ] in
-  (* -- fault-free cells: the exact RT1 gate, n = 5 -- *)
-  let ids5 = Harness.make_ids ~seed:1L 5 in
-  let rb_correct ids =
-    List.mapi (fun i id -> (id, if i = 0 then Some "m" else None)) ids
-  in
-  let cons_correct ids = List.mapi (fun i id -> (id, i mod 2)) ids in
-  List.iter
-    (fun (tname, transport) ->
-      (match
-         Er.compare_with_sim ~transport ~max_rounds:6 ~correct:(rb_correct ids5)
-           ()
-       with
-      | Error e -> error_row ~proto:"rb" ~transport:tname ~fname:"none" ~n:5 e
-      | Ok v ->
-          let ok name =
-            List.exists
-              (fun c -> String.equal c.Er.c_name name && c.Er.c_ok)
-              v.Er.v_checks
-          in
-          row ~proto:"rb" ~transport:tname ~fname:"none" ~n:5 ~mode:"exact"
-            ~rounds:v.Er.v_run.Er.RT.r_rounds
-            ~decided:
-              (List.length
-                 (List.filter
-                    (fun (s : Er.RT.node_summary) -> s.Er.RT.ns_output <> None)
-                    v.Er.v_run.Er.RT.r_nodes))
-            ~survivors:5 ~late:v.Er.v_run.Er.RT.r_late_frames ~lost:0 ~dup:0
-            ~delayed:0 ~dead:0
-            ~oracle:(ok "oracle-replay")
-            ~safety:
-              (ok "decisions" && ok "decide-rounds" && ok "rounds" && ok "trace"
-             && ok "wire")
-            ~ok:v.Er.v_ok);
-      match
-        Ec.compare_with_sim ~transport ~max_rounds:40
-          ~correct:(cons_correct ids5) ()
-      with
-      | Error e ->
-          error_row ~proto:"consensus" ~transport:tname ~fname:"none" ~n:5 e
-      | Ok v ->
-          let ok name =
-            List.exists
-              (fun c -> String.equal c.Ec.c_name name && c.Ec.c_ok)
-              v.Ec.v_checks
-          in
-          row ~proto:"consensus" ~transport:tname ~fname:"none" ~n:5
-            ~mode:"exact" ~rounds:v.Ec.v_run.Ec.RT.r_rounds
-            ~decided:
-              (List.length
-                 (List.filter
-                    (fun (s : Ec.RT.node_summary) -> s.Ec.RT.ns_output <> None)
-                    v.Ec.v_run.Ec.RT.r_nodes))
-            ~survivors:5 ~late:v.Ec.v_run.Ec.RT.r_late_frames ~lost:0 ~dup:0
-            ~delayed:0 ~dead:0
-            ~oracle:(ok "oracle-replay")
-            ~safety:
-              (ok "decisions" && ok "decide-rounds" && ok "rounds" && ok "trace"
-             && ok "wire")
-            ~ok:v.Ec.v_ok)
-    transports;
-  (* -- faulty cells -- *)
-  let rb_cell ~fname ~spec ~n ?(round_ms = 0.) ?(max_rounds = 6) ~mode () =
-    let ids = Harness.make_ids ~seed:1L n in
-    let plan = plan_of ~ids spec in
-    List.iter
-      (fun (tname, transport) ->
-        match
-          Er.run_with_faults ~equal_output:rb_consistent ~transport ~round_ms
-            ~max_rounds ~faults:plan ~seed:1L ~correct:(rb_correct ids) ()
-        with
-        | Error e -> error_row ~proto:"rb" ~transport:tname ~fname ~n e
-        | Ok fv ->
-            let ok name =
-              List.exists
-                (fun c -> String.equal c.Er.c_name name && c.Er.c_ok)
-                fv.Er.f_checks
-            in
-            let survivors = List.length fv.Er.f_survivors in
-            let decided =
-              List.length
-                (List.filter
-                   (fun (s : Er.RT.node_summary) ->
-                     s.Er.RT.ns_crashed_at = None && s.Er.RT.ns_output <> None)
-                   fv.Er.f_run.Er.RT.r_nodes)
-            in
-            let safety =
-              ok "monitors" && ok "survivor-agreement" && ok "crash-view"
-            in
-            let cell_ok =
-              match mode with
-              | "degrade" -> fv.Er.f_ok
-              | _ -> (not fv.Er.f_ok) && safety && ok "oracle-replay"
-            in
-            row ~proto:"rb" ~transport:tname ~fname ~n ~mode
-              ~rounds:fv.Er.f_run.Er.RT.r_rounds ~decided ~survivors
-              ~late:fv.Er.f_run.Er.RT.r_late_frames
-              ~lost:fv.Er.f_run.Er.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_lost
-              ~dup:fv.Er.f_run.Er.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_dup
-              ~delayed:
-                fv.Er.f_run.Er.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_delayed
-              ~dead:(List.length fv.Er.f_run.Er.RT.r_dead)
-              ~oracle:(ok "oracle-replay") ~safety ~ok:cell_ok)
-      transports
-  in
-  let cons_cell ~fname ~spec ~n ?(round_ms = 0.) ?(max_rounds = 40) ~mode () =
-    let ids = Harness.make_ids ~seed:1L n in
-    let plan = plan_of ~ids spec in
-    List.iter
-      (fun (tname, transport) ->
-        match
-          Ec.run_with_faults ~transport ~round_ms ~max_rounds ~faults:plan
-            ~seed:1L ~correct:(cons_correct ids) ()
-        with
-        | Error e -> error_row ~proto:"consensus" ~transport:tname ~fname ~n e
-        | Ok fv ->
-            let ok name =
-              List.exists
-                (fun c -> String.equal c.Ec.c_name name && c.Ec.c_ok)
-                fv.Ec.f_checks
-            in
-            let survivors = List.length fv.Ec.f_survivors in
-            let decided =
-              List.length
-                (List.filter
-                   (fun (s : Ec.RT.node_summary) ->
-                     s.Ec.RT.ns_crashed_at = None && s.Ec.RT.ns_output <> None)
-                   fv.Ec.f_run.Ec.RT.r_nodes)
-            in
-            let safety =
-              ok "monitors" && ok "survivor-agreement" && ok "crash-view"
-            in
-            let cell_ok =
-              match mode with
-              | "degrade" -> fv.Ec.f_ok
-              | _ -> (not fv.Ec.f_ok) && safety && ok "oracle-replay"
-            in
-            (* The beyond-budget counterexample trace ships with the
-               artifact — the violation must stay replayable, like MC1's
-               counterexamples. *)
-            if String.equal mode "violate" && String.equal tname "domains" then
-              rt2_trace :=
-                Trace.to_jsonl (Trace.of_events fv.Ec.f_run.Ec.RT.r_events);
-            row ~proto:"consensus" ~transport:tname ~fname ~n ~mode
-              ~rounds:fv.Ec.f_run.Ec.RT.r_rounds ~decided ~survivors
-              ~late:fv.Ec.f_run.Ec.RT.r_late_frames
-              ~lost:fv.Ec.f_run.Ec.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_lost
-              ~dup:fv.Ec.f_run.Ec.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_dup
-              ~delayed:
-                fv.Ec.f_run.Ec.RT.r_injected.Ubpa_runtime.Transport_faulty.inj_delayed
-              ~dead:(List.length fv.Ec.f_run.Ec.RT.r_dead)
-              ~oracle:(ok "oracle-replay") ~safety ~ok:cell_ok)
-      transports
-  in
-  rb_cell ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5 ~mode:"degrade" ();
-  cons_cell ~fname:"loss=0.10" ~spec:"loss=0.10" ~n:5 ~mode:"degrade" ();
-  cons_cell ~fname:"delay" ~spec:"delay:1@1..4=0.5x1" ~n:5 ~mode:"degrade" ();
-  rb_cell ~fname:"crash-1" ~spec:"crash:2@2" ~n:5 ~round_ms:80. ~mode:"degrade"
-    ();
-  cons_cell ~fname:"crash-1" ~spec:"crash:1@3" ~n:5 ~round_ms:80.
-    ~mode:"degrade" ();
-  cons_cell ~fname:"isolate" ~spec:"recv-omit:1@1..12=1.0" ~n:4 ~max_rounds:12
-    ~mode:"violate" ();
-  t
-
-(* ------------------------------------------------------------------ *)
-(* MC1: bounded exhaustive model checking                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Six fixed cells through `Ubpa_check` (cells do not shrink under
-   --fast: the verdicts ARE the claims, exactly like R1/CX1). Inside the
-   n > 3f envelope the checker must prove safety exhaustively for both
-   core protocols; at the f > n/3 boundary (and at two benign faults,
-   which exceed the f = 1 budget of n = 4) it must produce a minimized,
-   replayable counterexample. The rb n=3 counterexample trace is the
-   committed CEX_MC1.jsonl side artifact; the two boundary cells are
-   additionally re-run on two worker domains and compared field by field
-   (the "det" column), pinning --jobs byte-identity. *)
-let mc1_cex : string ref = ref ""
-
-let mc1 () =
-  let module Crb = Ubpa_check.Checker.Make (Ubpa_check.Models.Rb) in
-  let module Cc = Ubpa_check.Checker.Make (Ubpa_check.Models.Consensus) in
-  let t =
-    Table.create
-      ~title:
-        "MC1: bounded exhaustive safety checking (frontier BFS over the M1 \
-         adversary palette; see docs/CHECKING.md)"
-      ~columns:
-        [
-          "protocol";
-          "n";
-          "f";
-          "crashes";
-          "omits";
-          "rounds";
-          "expect";
-          "verdict";
-          "ok";
-          "explored";
-          "distinct";
-          "dedup";
-          "sym-skips";
-          "depth";
-          "cex round";
-          "cex msgs";
-          "replayed";
-          "det";
-        ]
-  in
-  let equal_result (a : Ubpa_check.Checker.result)
-      (b : Ubpa_check.Checker.result) =
-    a.verdict = b.verdict && a.stats = b.stats
-    && Option.equal
-         (fun (x : Ubpa_check.Checker.cex) (y : Ubpa_check.Checker.cex) ->
-           x = y)
-         a.cex b.cex
-  in
-  let cells =
-    [
-      (* protocol, n, f, crashes, omits, rounds, expect, cross-jobs? *)
-      ("rb", 3, 1, 0, 0, 5, "violation", true);
-      ("rb", 4, 1, 0, 0, 5, "verified", false);
-      ("rb", 4, 0, 1, 1, 4, "verified", false);
-      ("consensus", 3, 1, 0, 0, 8, "violation", true);
-      ("consensus", 4, 1, 0, 0, 7, "verified", false);
-      ("consensus", 4, 0, 1, 1, 12, "violation", false);
-    ]
-  in
-  List.iter
-    (fun (proto, n, f, crashes, omits, rounds, expect, cross_jobs) ->
-      let run ?jobs () =
-        match proto with
-        | "rb" ->
-            Crb.check ?jobs ~crash_budget:crashes ~omit_budget:omits ~n ~f
-              ~max_rounds:rounds ()
-        | _ ->
-            Cc.check ?jobs ~crash_budget:crashes ~omit_budget:omits ~n ~f
-              ~max_rounds:rounds ()
-      in
-      let r = run ?jobs:!jobs () in
-      let det =
-        if not cross_jobs then "-"
-        else if
-          equal_result (run ~jobs:1 ()) (run ~jobs:2 ())
-        then "yes"
-        else "no"
-      in
-      let verdict = Ubpa_check.Checker.verdict_to_string r.verdict in
-      (if String.equal proto "rb" && n = 3 then
-         match r.cex with
-         | Some cx -> mc1_cex := cx.cx_jsonl
-         | None -> ());
-      Table.add_row t
-        [
-          proto;
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_int crashes;
-          Table.cell_int omits;
-          Table.cell_int rounds;
-          expect;
-          verdict;
-          bool_cell (String.equal expect verdict);
-          Table.cell_int r.stats.explored;
-          Table.cell_int r.stats.distinct;
-          Table.cell_int r.stats.dedup_hits;
-          Table.cell_int r.stats.sym_skips;
-          Table.cell_int r.stats.depth;
-          (match r.cex with
-          | Some cx -> Table.cell_int cx.cx_round
-          | None -> "-");
-          (match r.cex with
-          | Some cx -> Table.cell_int (cx.cx_byz_msgs + cx.cx_crashes + cx.cx_omits)
-          | None -> "-");
-          (match r.cex with
-          | Some cx -> bool_cell cx.cx_replayed
-          | None -> "-");
-          det;
-        ])
-    cells;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* RT3: runtime latency/throughput — the performance story of RT1/RT2   *)
-(* ------------------------------------------------------------------ *)
-
-(* ROADMAP item 1's remainder: RT1/RT2 prove the networked runtime is
-   *correct* (trace-equivalent to the simulator, graceful under
-   faults); RT3 measures how *fast* it is. Fixed cells (no --fast
-   shrink, like RT1): per transport, rb and consensus run flat out
-   (round_ms = 0, marker fast path only), plus consensus under 60ms and
-   150ms round-deadline floors. Frames/late/rounds/decided are
-   deterministic and gated cell-for-cell across transports; elapsed,
-   frames/s and avg-round-ms are wall-clock (unit-suffixed, exempt from
-   exact diff and metric comparison). The under-deadline column is the
-   measured-round-time-vs-floor comparison: the deadline synchronizer's
-   marker fast path advances as soon as all markers arrive, so even
-   floored rounds finish well under the floor — gated only on the
-   roomy 150ms floor so a loaded CI host cannot flake it. *)
-let rt3 () =
-  let t =
-    Table.create
-      ~title:
-        "RT3: networked runtime latency/throughput — frames/sec per \
-         transport and measured round time vs the --round-ms floor \
-         (timing cells are wall-clock and exempt; rounds/decided/frames/\
-         late are deterministic and gated)"
-      ~columns:
-        [
-          "protocol"; "transport"; "n"; "round-ms"; "rounds"; "decided";
-          "frames"; "late"; "elapsed"; "frames/s"; "avg-round-ms";
-          "under-deadline";
-        ]
-  in
-  let module Ec = Runtime_exec.Make (Scenarios.Consensus_int.P) in
-  let module Er = Runtime_exec.Make (Scenarios.Rb.P) in
-  let add_row ~proto ~transport ~n ~round_ms = function
-    | Error e ->
-        Table.add_row t
-          [ proto; transport; Table.cell_int n;
-            (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0");
-            e; "-"; "-"; "-"; "-"; "-"; "-"; "no" ]
-    | Ok (rounds, decided, frames, late, elapsed) ->
-        let avg = elapsed /. float_of_int (max rounds 1) in
-        Table.add_row t
-          [
-            proto;
-            transport;
-            Table.cell_int n;
-            (if round_ms > 0. then Printf.sprintf "%.0f" round_ms else "0");
-            Table.cell_int rounds;
-            Table.cell_int decided;
-            Table.cell_int frames;
-            Table.cell_int late;
-            Printf.sprintf "%.1fms" elapsed;
-            Printf.sprintf "%.0f/s"
-              (float_of_int frames /. (Float.max elapsed 1e-3 /. 1000.));
-            Printf.sprintf "%.1fms" avg;
-            (if round_ms > 0. then bool_cell (avg <= round_ms) else "-");
-          ]
-  in
-  let n = 5 in
-  let ids = Harness.make_ids ~seed:1L n in
-  List.iter
-    (fun (tname, transport) ->
-      let timed run =
-        let t0 = Clock.now_ms () in
-        match run () with
-        | Error e -> Error e
-        | Ok (rounds, decided, frames, late) ->
-            Ok (rounds, decided, frames, late, Clock.elapsed_ms ~since:t0)
-      in
-      add_row ~proto:"rb" ~transport:tname ~n ~round_ms:0.
-        (timed (fun () ->
-             match
-               Er.RT.run ~transport ~max_rounds:6
-                 ~correct:
-                   (List.mapi
-                      (fun i id -> (id, if i = 0 then Some "m" else None))
-                      ids)
-                 ()
-             with
-             | Error e -> Error e
-             | Ok r ->
-                 Ok
-                   ( r.Er.RT.r_rounds,
-                     List.length
-                       (List.filter
-                          (fun (s : Er.RT.node_summary) ->
-                            s.Er.RT.ns_output <> None)
-                          r.Er.RT.r_nodes),
-                     r.Er.RT.r_frames,
-                     r.Er.RT.r_late_frames )));
-      List.iter
-        (fun round_ms ->
-          add_row ~proto:"consensus" ~transport:tname ~n ~round_ms
-            (timed (fun () ->
-                 match
-                   Ec.RT.run ~transport ~round_ms ~max_rounds:40
-                     ~correct:(List.mapi (fun i id -> (id, i mod 2)) ids)
-                     ()
-                 with
-                 | Error e -> Error e
-                 | Ok r ->
-                     Ok
-                       ( r.Ec.RT.r_rounds,
-                         List.length
-                           (List.filter
-                              (fun (s : Ec.RT.node_summary) ->
-                                s.Ec.RT.ns_output <> None)
-                              r.Ec.RT.r_nodes),
-                         r.Ec.RT.r_frames,
-                         r.Ec.RT.r_late_frames ))))
-        [ 0.; 60.; 150. ])
-    [ ("domains", `Domains); ("socket", `Socket) ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Machine-checked claims                                               *)
-(*                                                                      *)
-(* Every experiment names the paper-derived bounds it exercises; each    *)
-(* bound is re-evaluated over the finished table and lands as a          *)
-(* pass/fail entry in the JSON artifact, where `bench_diff` (and the CI  *)
-(* claim gate) refuses regressions. Bounds with a constant factor use    *)
-(* the measured constants with headroom, so they fail loudly if a        *)
-(* future change loses the complexity class, not on run-to-run noise.   *)
-(* ------------------------------------------------------------------ *)
-
-module Claims = struct
-  open Ubpa_report
-
-  let claim cid description holds =
-    {
-      Artifact.cid;
-      description;
-      status = (if holds then Artifact.Pass else Artifact.Fail);
-    }
-
-  let for_experiment id (t : Table.t) =
-    let cols = Table.columns t in
-    let idx name =
-      let rec go i = function
-        | [] -> failwith (Printf.sprintf "claims(%s): no column %S" id name)
-        | c :: _ when String.equal c name -> i
-        | _ :: rest -> go (i + 1) rest
-      in
-      go 0 cols
-    in
-    let get row name = List.nth row (idx name) in
-    let geti row name = int_of_string_opt (get row name) in
-    let getf row name = float_of_string_opt (get row name) in
-    let rows = Table.rows t in
-    let forall f = List.for_all f rows in
-    (* Boolean columns may contain non-boolean filler cells (summary rows);
-       those are ignored, but at least one "yes" must be present. *)
-    let all_yes name =
-      forall (fun r -> get r name <> "no")
-      && List.exists (fun r -> get r name = "yes") rows
-    in
-    (* Rows that share a [key] agree on [behaviour]. *)
-    let consistent ~key ~behaviour =
-      forall (fun r ->
-          forall (fun r' -> key r <> key r' || behaviour r = behaviour r'))
-    in
-    (* Row-wise integer comparison of two columns; rows where either cell
-       is not an integer are skipped. *)
-    let le_cols a b =
-      forall (fun r ->
-          match (geti r a, geti r b) with
-          | Some x, Some y -> x <= y
-          | _ -> true)
-    in
-    let eps = 1e-9 in
-    match id with
-    | "E1" ->
-        [
-          claim "E1.consistency"
-            "acceptance is all-or-none across correct nodes (Lemma rb-correct)"
-            (all_yes "consistent");
-          claim "E1.accept-round"
-            "honest-sender payloads are accepted by round 4 (round-3 rule \
-             plus one relay round)"
-            (forall (fun r ->
-                 get r "accepted" <> "yes"
-                 ||
-                 match geti r "round(max)" with
-                 | Some rm -> rm <= 4
-                 | None -> false));
-          claim "E1.msg-quadratic"
-            "deliveries stay within 6*n^2 (O(n^2) message complexity)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "msgs") with
-                 | Some n, Some m -> m <= 6 * n * n
-                 | _ -> false));
-        ]
-    | "E2" ->
-        [
-          claim "E2.round-bound"
-            "rotor terminates within n+3 rounds (Theorem rc, O(n))"
-            (le_cols "rounds(max)" "bound n+3");
-          claim "E2.good-round"
-            "every run contains a good round with a common correct \
-             coordinator"
-            (all_yes "good round");
-        ]
-    | "E2b" ->
-        let rounds = List.filter_map (fun r -> geti r "round") rows in
-        let rec ascending = function
-          | a :: (b :: _ as rest) -> a < b && ascending rest
-          | _ -> true
-        in
-        [
-          claim "E2b.round-order"
-            "delivered_per_round rows come out strictly ascending in round"
-            (ascending rounds);
-          claim "E2b.steady-state"
-            "after the round-3/4 echo burst each round carries at most n \
-             deliveries"
-            (forall (fun r ->
-                 match (geti r "round", geti r "delivered") with
-                 | Some rd, Some d -> rd <= 4 || d <= 13
-                 | _ -> false));
-        ]
-    | "E3" ->
-        [
-          claim "E3.agreement" "agreement and validity hold in every run"
-            (all_yes "agreed" && all_yes "valid");
-          claim "E3.round-bound"
-            "decisions within 5*(f+1)+2 rounds (Theorem earlyCon, O(f))"
-            (forall (fun r ->
-                 match (geti r "f", geti r "rounds(max)") with
-                 | Some f, Some rm -> rm <= (5 * (f + 1)) + 2
-                 | _ -> false));
-          claim "E3.phase-bound" "at most f+1 phases are needed"
-            (forall (fun r ->
-                 match (geti r "f", geti r "phases") with
-                 | Some f, Some p -> p <= f + 1
-                 | _ -> false));
-        ]
-    | "E4" ->
-        [
-          claim "E4.agreement" "agreement holds in every run" (all_yes "agreed");
-          claim "E4.early-termination"
-            "unanimous inputs decide at the end of phase 1 (round 7)"
-            (forall (fun r ->
-                 get r "inputs" <> "unanimous"
-                 || (geti r "rounds(max)" = Some 7 && geti r "phases" = Some 1)));
-        ]
-    | "E5" ->
-        [
-          claim "E5.containment"
-            "outputs lie within the correct input range (Lemma aaWithin)"
-            (all_yes "in-range");
-          claim "E5.halving"
-            "one round contracts the range by at least 1/2 (Lemma aaMed)"
-            (forall (fun r ->
-                 match getf r "contraction" with
-                 | Some c -> c <= 0.5 +. eps
-                 | None -> false));
-        ]
-    | "E5b" ->
-        [
-          claim "E5b.containment"
-            "final outputs lie within the global input range despite joins"
-            (List.exists
-               (fun r ->
-                 get r "event" = "final check" && get r "spread" = "in-range")
-               rows);
-        ]
-    | "E6" ->
-        [
-          claim "E6.convergence-rate"
-            "k iterations contract by 2^-k even under pull-apart attack"
-            (forall (fun r ->
-                 match (getf r "contraction(id-only)", getf r "bound 2^-k") with
-                 | Some c, Some b -> c <= b +. eps
-                 | _ -> false));
-          claim "E6.matches-known-f"
-            "id-only convergence matches the known-f Dolev et al. baseline"
-            (forall (fun r ->
-                 match
-                   (getf r "contraction(id-only)", getf r "contraction(known-f)")
-                 with
-                 | Some a, Some b -> Float.abs (a -. b) <= eps
-                 | _ -> false));
-        ]
-    | "E7" ->
-        [
-          claim "E7.safe-inside-boundary"
-            "with n > 3f every seeded run is safe (optimal resiliency)"
-            (forall (fun r ->
-                 get r "n>3f" <> "yes"
-                 || (geti r "violated" = Some 0 && geti r "safe" = geti r "runs")));
-          claim "E7.violated-outside-boundary"
-            "with n <= 3f the implemented attacks break safety"
-            (forall (fun r ->
-                 get r "n>3f" <> "no"
-                 || match geti r "violated" with Some v -> v >= 1 | None -> false));
-        ]
-    | "E8" ->
-        [
-          claim "E8.rb-overhead"
-            "id-only RB costs at most 2x the known-n/f Srikanth-Toueg \
-             baseline"
-            (forall (fun r ->
-                 match (geti r "RB msgs(id-only)", geti r "RB msgs(ST)") with
-                 | Some ours, Some theirs -> ours <= 2 * theirs
-                 | _ -> false));
-          claim "E8.consensus-overhead"
-            "id-only consensus costs at most 6x the phase-king baseline"
-            (forall (fun r ->
-                 match
-                   (geti r "cons msgs(id-only)", geti r "cons msgs(king)")
-                 with
-                 | Some ours, Some theirs -> ours <= 6 * theirs
-                 | _ -> false));
-        ]
-    | "E8b" ->
-        [
-          claim "E8b.echo-quadratic"
-            "candidate echoes account for 2*n^2 sends (the O(n^2) term)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "cand-echo") with
-                 | Some n, Some e -> e <= 2 * n * n
-                 | _ -> false));
-          claim "E8b.opinion-constant"
-            "opinion messages stay constant per run (coordinator only)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "opinion") with
-                 | Some n, Some o -> o <= n
-                 | _ -> false));
-        ]
-    | "E9" ->
-        [
-          claim "E9.agreement" "pair-set agreement holds for every k"
-            (all_yes "agreed");
-          claim "E9.rounds-constant"
-            "rounds do not grow with the number of instances k"
-            (forall (fun r ->
-                 match geti r "rounds" with Some x -> x <= 8 | None -> false));
-          claim "E9.all-instances-decide" "every started instance outputs a pair"
-            (forall (fun r -> geti r "pairs output" = geti r "k"));
-        ]
-    | "E10" ->
-        [
-          claim "E10.prefix-consistency"
-            "per-node chains are prefix-consistent under churn"
-            (all_yes "prefix-ok");
-          claim "E10.finality-lag" "the finality frontier lags at most 20 rounds"
-            (forall (fun r ->
-                 match geti r "finality lag" with
-                 | Some l -> l <= 20
-                 | None -> false));
-        ]
-    | "E11" ->
-        [
-          claim "E11.disagreement"
-            "the partitioned asynchronous executions disagree (impossibility)"
-            (all_yes "disagree");
-          claim "E11.in-flight"
-            "messages were still in flight at decision time (the \
-             indistinguishability premise)"
-            (all_yes "in-flight");
-        ]
-    | "E12" ->
-        [
-          claim "E12.bounded-delay"
-            "every delivery respects the finite delay bound delta"
-            (all_yes "bounded");
-          claim "E12.disagreement"
-            "executions still disagree under semi-synchrony (impossibility)"
-            (all_yes "disagree");
-        ]
-    | "E13" ->
-        [
-          claim "E13.safety-matrix"
-            "every implemented adversary fails to break its target property"
-            (all_yes "holds");
-        ]
-    | "A1" ->
-        [
-          claim "A1.good-round"
-            "rotor finds a good round at both n>4f and n>3f densities"
-            (all_yes "good round");
-        ]
-    | "A2" ->
-        [
-          claim "A2.id-only-robust"
-            "the relative n_v/3 discard rule stays in range without knowing f"
-            (forall (fun r ->
-                 get r "rule" <> "id-only n_v/3" || get r "in-range" = "yes"));
-          claim "A2.known-f-fragile"
-            "underestimating f breaks the known-f discard rule"
-            (List.exists
-               (fun r -> get r "rule" = "known-f" && get r "in-range" = "no")
-               rows);
-        ]
-    | "A3" ->
-        [
-          claim "A3.correct"
-            "terminating RB and renaming are correct at every f"
-            (all_yes "correct");
-          claim "A3.constant-rounds" "both appendix algorithms finish within \
-                                      10 rounds"
-            (forall (fun r ->
-                 match geti r "rounds" with Some x -> x <= 10 | None -> false));
-        ]
-    | "A4" ->
-        [
-          claim "A4.agreement" "agreement and strong validity hold"
-            (all_yes "agreed" && all_yes "strong-valid");
-          claim "A4.round-linear" "rounds stay within 8*n+8 (O(n))"
-            (forall (fun r ->
-                 match (geti r "n", geti r "rounds") with
-                 | Some n, Some x -> x <= (8 * n) + 8
-                 | _ -> false));
-        ]
-    | "R1" ->
-        let withins = List.filter (fun r -> get r "envelope" = "yes") rows in
-        [
-          claim "R1.envelope-green"
-            "inside the proven envelope (benign crash/omission-only, \
-             budget + byzantine <= f) every monitor stays green in every \
-             run"
-            (withins <> []
-            && List.for_all
-                 (fun r ->
-                   geti r "violated" = Some 0 && geti r "green" = geti r "runs")
-                 withins);
-          claim "R1.sweep-size"
-            "the within-envelope sweep covers at least 50 randomized fault \
-             schedules"
-            (List.fold_left
-               (fun acc r -> acc + Option.value ~default:0 (geti r "runs"))
-               0 withins
-            >= 50);
-          claim "R1.first-violation-reported"
-            "every violated run produced a first-violation report (the \
-             monitors report, they do not assert)"
-            (forall (fun r -> geti r "reported" = geti r "violated"));
-          claim "R1.degradation-observed"
-            "pushing past the envelope degrades: at least one over-budget \
-             row has a reported violation"
-            (List.exists
-               (fun r ->
-                 get r "envelope" = "no"
-                 &&
-                 match geti r "violated" with Some v -> v >= 1 | None -> false)
-               rows);
-        ]
-    | "PERF" ->
-        let raced = List.filter (fun r -> get r "engine" = "arena") rows in
-        let ns =
-          List.sort_uniq compare (List.filter_map (fun r -> geti r "n") raced)
-        in
-        let n_max = List.fold_left max 0 ns in
-        let digests_match pred =
-          match
-            List.filter_map
-              (fun r -> if pred r then Some (get r "digest") else None)
-              rows
-          with
-          | d :: (_ :: _ as rest) ->
-              d <> "-" && List.for_all (String.equal d) rest
-          | _ -> false
-        in
-        [
-          claim "PERF.same-deliveries"
-            "the arena core and the reference core deliver exactly the same \
-             messages in every round at every n"
-            (ns <> []
-            && List.for_all (fun r -> get r "reference" = "yes") raced);
-          claim "PERF.identical-deliveries-at-scale"
-            "at every swept n — including the n=301 scale row — every \
-             round's inboxes are identical, sender and payload in order, to \
-             the reference core's"
-            (n_max >= 301
-            && List.for_all
-                 (fun n ->
-                   List.exists
-                     (fun r -> geti r "n" = Some n && get r "reference" = "yes")
-                     raced)
-                 ns);
-          claim "PERF.v2-faster-at-max"
-            "at the largest swept n the network's rounds — arena routing plus \
-             the protocol step — run strictly faster than the reference scan \
-             core re-routes them"
-            (List.exists
-               (fun r ->
-                 geti r "n" = Some n_max
-                 &&
-                 match getf r "speedup" with
-                 | Some s -> s > 1.0
-                 | None -> false)
-               raced);
-          claim "PERF.pool-deterministic"
-            "the pool executor merges the fixed consensus sweep identically \
-             at jobs=1 and jobs=max (digest match)"
-            (digests_match (fun r -> get r "workload" = "pool-sweep"));
-        ]
-    | "PERF2" ->
-        [
-          claim "PERF2.deterministic-across-jobs"
-            "every sub-sweep digest at jobs=2 and jobs=8 equals the jobs=1 \
-             digest — parallel tables are cell-for-cell identical to serial \
-             ones"
-            (all_yes "match"
-            && List.exists (fun r -> geti r "jobs" = Some 8) rows);
-          claim "PERF2.order-preserved"
-            "the synthetic pool-map sweep preserves submission order at \
-             every jobs level"
-            (let pm = List.filter (fun r -> get r "sweep" = "pool-map") rows in
-             pm <> [] && List.for_all (fun r -> get r "match" = "yes") pm);
-        ]
-    | "CX1" ->
-        (* The fits themselves live in the artifact's complexity block; the
-           claims mirror their verdicts so the existing claim gate (and
-           bench_diff's pass->fail check) covers them without new plumbing. *)
-        let fit = fit_holds !cx1_fits in
-        [
-          claim "CX1.rb-msg-quadratic"
-            "measured RB wire messages fit a c*n^2 envelope (O(n^2) message \
-             complexity, Theorem rb)"
-            (fit "rb.msgs");
-          claim "CX1.rb-bit-quadratic"
-            "measured RB wire bits fit a c*n^2 envelope (constant-size \
-             payloads)"
-            (fit "rb.bits");
-          claim "CX1.consensus-msg-cubic"
-            "measured consensus wire messages fit a c*n^3 envelope (O(f) \
-             phases of O(n^2) traffic)"
-            (fit "consensus.msgs");
-          claim "CX1.binary-bit-cubic"
-            "measured binary-consensus wire bits fit a c*n^3 envelope \
-             (one-bit vote encoding)"
-            (fit "binary.bits");
-          claim "CX1.cross-core-identity"
-            "on every swept run the arena core routes every round exactly as \
-             the reference core does, and its once-per-broadcast wire \
-             counters equal the reference core's per-delivery ones (totals, \
-             per-round, per-node, per-sender, per-kind)"
-            (all_yes "cross-core");
-        ]
-    | "CX2" ->
-        let fit = fit_holds !cx2_fits in
-        [
-          claim "CX2.agreement-under-attack"
-            "every cell — both workloads, f = n/6 mixed silent / \
-             report-flood / inner-split adversaries — reaches agreement \
-             with validity, full termination, and green online monitors"
-            (all_yes "agreed" && all_yes "valid" && all_yes "halted"
-            && all_yes "monitors");
-          claim "CX2.node-bits-subquadratic"
-            "the densest node's sent+received bits fit a \
-             c*sqrt(n)*log^2(n) envelope across the sweep — per-node \
-             traffic is sub-linear, so total traffic is sub-quadratic"
-            (fit "committee.node-bits");
-          claim "CX2.node-msgs-subquadratic"
-            "the densest node's sent+received message count fits the same \
-             c*sqrt(n)*log^2(n) envelope"
-            (fit "committee.node-msgs");
-          claim "CX2.committee-honest-majority"
-            "in every cell the sampled committee keeps its Byzantine \
-             members below a third (3*byz < k), so the inner consensus \
-             core runs inside its fault envelope"
-            (List.for_all
-               (fun r ->
-                 match (geti r "k", geti r "byz-in-k") with
-                 | Some k, Some b -> 3 * b < k
-                 | _ -> false)
-               rows);
-          claim "CX2.cross-core-identity"
-            "at the overlap population every round of the run is re-routed \
-             through the reference core: identical inboxes, deliveries and \
-             wire counters (so identical per-node budgets)"
-            (List.exists (fun r -> get r "cross-core" = "yes") rows
-            && List.for_all (fun r -> get r "cross-core" <> "no") rows);
-        ]
-    | "MC1" ->
-        let violation_rows =
-          List.filter (fun r -> get r "verdict" = "violation") rows
-        in
-        let verified_at id f_pred =
-          List.exists
-            (fun r ->
-              get r "protocol" = id
-              && get r "verdict" = "verified"
-              && match geti r "f" with Some f -> f_pred f | None -> false)
-            rows
-        in
-        [
-          claim "MC1.envelope-verified"
-            "every cell's verdict matches its expectation (safety proved \
-             inside the n > 3f envelope, violated outside it)"
-            (all_yes "ok");
-          claim "MC1.two-protocols-proved"
-            "both core protocols are exhaustively verified with f >= 1 \
-             byzantine nodes"
-            (verified_at "rb" (fun f -> f >= 1)
-            && verified_at "consensus" (fun f -> f >= 1));
-          claim "MC1.boundary-violation"
-            "some cell outside the fault envelope yields a safety violation"
-            (List.exists
-               (fun r ->
-                 match (geti r "n", geti r "f", geti r "crashes", geti r "omits")
-                 with
-                 | Some n, Some f, Some c, Some o ->
-                     3 * (f + c + o) >= n
-                 | _ -> false)
-               violation_rows);
-          claim "MC1.cex-replayable"
-            "every counterexample replays to the same violation under the \
-             live trace engine"
-            (violation_rows <> []
-            && List.for_all (fun r -> get r "replayed" = "yes") violation_rows);
-          claim "MC1.exhaustive"
-            "no cell ran out of state budget (the verdicts are exhaustive, \
-             not samples)"
-            (forall (fun r -> get r "verdict" <> "out-of-budget"));
-          claim "MC1.jobs-identical"
-            "re-running checked cells on two worker domains reproduces the \
-             full result (verdict, stats, counterexample) field by field"
-            (all_yes "det");
-        ]
-    | "RT1" ->
-        let pair_identical =
-          (* For each (protocol, n), the domains and socket rows must agree
-             on every behavioural column: the transport is a pure carrier. *)
-          consistent
-            ~key:(fun r -> (get r "protocol", get r "n"))
-            ~behaviour:(fun r ->
-              ( get r "rounds",
-                get r "decided",
-                get r "msgs",
-                get r "bits",
-                get r "frames" ))
-        in
-        [
-          claim "RT1.oracle-equivalence"
-            "every networked run's recorded delivery schedule replays \
-             cleanly through the simulator's reference core (present sets, \
-             inboxes, sends)"
-            (all_yes "oracle");
-          claim "RT1.sim-equivalence"
-            "decisions, decide rounds, executed rounds and the full trace \
-             event stream equal a fresh lockstep simulator run on the same \
-             population"
-            (all_yes "sim-equal");
-          claim "RT1.wire-identical"
-            "wire counters (totals and per-round/node/kind breakdowns) are \
-             identical across runtime, replay oracle, and simulator"
-            (all_yes "wire-equal");
-          claim "RT1.all-correct-decide"
-            "every node decides in every cell (all-correct populations)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "decided") with
-                 | Some n, Some d -> n = d
-                 | _ -> false));
-          claim "RT1.wire-populated"
-            "wire counters are populated on every cell (the transports \
-             really carry the protocol's messages)"
-            (forall (fun r ->
-                 match (geti r "msgs", geti r "bits") with
-                 | Some m, Some b -> m > 0 && b > 0
-                 | _ -> false));
-          claim "RT1.no-late-frames"
-            "on fault-free runs the marker fast path keeps every frame in \
-             its delivery round"
-            (forall (fun r -> get r "late" = "0"));
-          claim "RT1.transport-identical"
-            "domains and socket transports produce behaviourally identical \
-             runs cell for cell"
-            pair_identical;
-        ]
-    | "RT2" ->
-        let rows_in mode = List.filter (fun r -> get r "mode" = mode) rows in
-        let pair_identical =
-          (* Same-fault cells must agree across transports on every
-             behavioural column — including the injected-fault counters,
-             which is the per-edge-stream determinism claim made real. *)
-          consistent
-            ~key:(fun r -> (get r "protocol", get r "faults", get r "n"))
-            ~behaviour:(fun r ->
-              ( get r "rounds",
-                get r "decided",
-                get r "survivors",
-                (get r "late", get r "lost", get r "dup", get r "delayed"),
-                (get r "dead", get r "oracle", get r "safety", get r "ok") ))
-        in
-        [
-          claim "RT2.fault-free-exact"
-            "fault-free cells still meet RT1's full exact-equivalence gate \
-             (oracle replay, sim equality, wire accounting) — the fault \
-             middleware and deadline synchronizer are behaviour-free when \
-             idle"
-            (rows_in "exact" <> []
-            && List.for_all
-                 (fun r ->
-                   get r "ok" = "yes" && get r "oracle" = "yes"
-                   && get r "safety" = "yes")
-                 (rows_in "exact"));
-          claim "RT2.delivered-oracle"
-            "every cell's recorded delivered schedule — holes included — \
-             replays cleanly through the oracle's sub-schedule mode"
-            (all_yes "oracle");
-          claim "RT2.within-budget-degrades"
-            "every within-budget fault cell degrades gracefully on both \
-             transports: monitors green, survivors all decide and agree"
-            (rows_in "degrade" <> []
-            && List.for_all (fun r -> get r "ok" = "yes") (rows_in "degrade"));
-          claim "RT2.beyond-budget-violates"
-            "the beyond-budget cell violates as expected — liveness fails \
-             (a survivor never decides) while safety stays green"
-            (rows_in "violate" <> []
-            && List.for_all
-                 (fun r ->
-                   get r "ok" = "yes" && get r "safety" = "yes"
-                   && match (geti r "decided", geti r "survivors") with
-                      | Some d, Some s -> d < s
-                      | _ -> false)
-                 (rows_in "violate"));
-          claim "RT2.late-frames-delay"
-            "delay injection produces strictly positive late-frame counts \
-             (the deadline synchronizer really drops stragglers)"
-            (List.exists
-               (fun r ->
-                 get r "faults" = "delay"
-                 && match geti r "late" with Some l -> l > 0 | None -> false)
-               rows);
-          claim "RT2.injection-live"
-            "loss and delay cells inject a strictly positive number of \
-             faults (the plans are not vacuous)"
-            (List.for_all
-               (fun r ->
-                 match geti r "lost" with Some l -> l > 0 | None -> false)
-               (List.filter (fun r -> get r "faults" = "loss=0.10") rows)
-            && List.exists
-                 (fun r ->
-                   get r "faults" = "delay"
-                   && match geti r "delayed" with
-                      | Some d -> d > 0
-                      | None -> false)
-                 rows);
-          claim "RT2.dead-peer-tracking"
-            "in every crash cell each surviving node independently marks \
-             the victim dead (dead marks = survivors)"
-            (List.for_all
-               (fun r ->
-                 match (geti r "dead", geti r "survivors") with
-                 | Some d, Some s -> d = s
-                 | _ -> false)
-               (List.filter (fun r -> get r "faults" = "crash-1") rows))
-          ;
-          claim "RT2.transport-identical"
-            "domains and socket produce byte-identical behaviour and \
-             injected-fault counters cell for cell"
-            pair_identical;
-          claim "RT2.violation-trace-committed"
-            "the beyond-budget counterexample trace is captured for the \
-             committed artifact (TRACE_RT2.jsonl)"
-            (!rt2_trace <> "");
-        ]
-    | "SCALE" ->
-        (* Unit-suffixed cells ("12.3w", "4.1ms") parse by numeric
-           prefix. *)
-        let numeric_prefix s =
-          let len = String.length s in
-          let rec go i =
-            if
-              i < len
-              &&
-              match s.[i] with
-              | '0' .. '9' | '.' | '-' | '+' | 'e' -> true
-              | _ -> false
-            then go (i + 1)
-            else i
-          in
-          float_of_string_opt (String.sub s 0 (go 0))
-        in
-        let key r = (get r "workload", get r "n") in
-        let references =
-          List.filter (fun r -> get r "engine" = "reference") rows
-        in
-        let workloads rs =
-          List.sort_uniq compare (List.map (fun r -> get r "workload") rs)
-        in
-        let arena_rb =
-          List.filter
-            (fun r -> get r "engine" = "arena" && get r "workload" = "rb-1sender")
-            rows
-        in
-        let n_of r = Option.value ~default:0 (geti r "n") in
-        let arena_rb_max =
-          List.fold_left (fun acc r -> max acc (n_of r)) 0 arena_rb
-        in
-        let arena_rb_min =
-          List.fold_left (fun acc r -> min acc (n_of r)) max_int arena_rb
-        in
-        let wpm n =
-          List.find_map
-            (fun r ->
-              if n_of r = n then numeric_prefix (get r "minor-w/msg") else None)
-            arena_rb
-        in
-        [
-          claim "SCALE.identical-deliveries"
-            "at every overlap size the arena core's digest, delivered count \
-             and round count are identical to the reference oracle's (every \
-             round re-routed through the reference core, no divergence) — \
-             the identity gate that certifies the arena-only rows"
-            (references <> []
-            && workloads references = workloads rows
-            && List.for_all
-                 (fun r ->
-                   List.exists
-                     (fun a -> get a "engine" = "arena" && key a = key r)
-                     rows)
-                 references
-            && consistent ~key ~behaviour:(fun r ->
-                   (get r "digest", get r "delivered", get r "rounds")));
-          claim "SCALE.alloc-flat"
-            "the arena core's minor words per delivered message at the \
-             largest swept RB n stay within 4x the smallest swept n — \
-             per-message cost does not grow with the population"
-            (arena_rb <> []
-            &&
-            match (wpm arena_rb_min, wpm arena_rb_max) with
-            | Some lo, Some hi -> hi <= Float.max (4. *. lo) 16.
-            | _ -> false);
-          claim "SCALE.reaches-target"
-            "the RB sweep completes under the arena core at the target \
-             population (n=10,000; n=301 in --fast smoke) with every row \
-             delivering messages"
-            (arena_rb_max >= (if !fast then 301 else 10_000)
-            && forall (fun r ->
-                   match geti r "delivered" with
-                   | Some d -> d > 0
-                   | None -> false));
-        ]
-    | "RT3" ->
-        let pair_identical =
-          (* Same-cell rows must agree across transports on every
-             deterministic column; timing columns are exempt. *)
-          consistent
-            ~key:(fun r -> (get r "protocol", get r "round-ms", get r "n"))
-            ~behaviour:(fun r ->
-              (get r "rounds", get r "decided", get r "frames", get r "late"))
-        in
-        [
-          claim "RT3.populated"
-            "every cell runs the protocol over a real transport (frames > 0)"
-            (forall (fun r ->
-                 match geti r "frames" with Some f -> f > 0 | None -> false));
-          claim "RT3.all-decide"
-            "every node decides in every cell (all-correct populations)"
-            (forall (fun r ->
-                 match (geti r "n", geti r "decided") with
-                 | Some n, Some d -> n = d
-                 | _ -> false));
-          claim "RT3.no-late-frames"
-            "the marker fast path keeps every frame in its round at every \
-             deadline floor"
-            (forall (fun r -> get r "late" = "0"));
-          claim "RT3.under-deadline"
-            "with the 150ms round floor the measured average round time \
-             stays under the floor — rounds advance on markers, not on \
-             deadline expiry"
-            (let floored =
-               List.filter (fun r -> get r "round-ms" = "150") rows
-             in
-             floored <> []
-             && List.for_all (fun r -> get r "under-deadline" = "yes") floored);
-          claim "RT3.transport-identical"
-            "domains and socket transports produce identical rounds, \
-             decisions, frame and late counts cell for cell"
-            pair_identical;
-        ]
-    | _ -> []
-end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  let runs name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"unknown-ba"
-      [
-        runs "rb n=13" (fun () ->
-            ignore (Scenarios.Rb.run ~n_correct:13 ~payload:"m" ()));
-        runs "rotor n=13" (fun () ->
-            ignore (Scenarios.Rotor_int.run ~n_correct:13 ()));
-        runs "consensus n=13 split" (fun () ->
-            ignore
-              (Scenarios.Consensus_int.run ~n_correct:13
-                 ~inputs:(fun i -> i mod 2)
-                 ()));
-        runs "aa n=13 k=4" (fun () ->
-            ignore
-              (Scenarios.Aa.run ~iterations:4 ~n_correct:13
-                 ~inputs:(fun i -> float_of_int i)
-                 ()));
-        runs "parallel n=5 k=4" (fun () ->
-            ignore
-              (Scenarios.Parallel_int.run ~n_correct:5
-                 ~inputs:(fun _ -> List.init 4 (fun j -> (j, j)))
-                 ()));
-        runs "total-order n=4 r=6" (fun () ->
-            ignore
-              (Scenarios.Total_order_str.run ~n_genesis:4 ~rounds:6
-                 ~events_per_round:1 ()));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "";
-  print_endline "== Timing (bechamel, monotonic clock per run) ==";
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let cell =
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.sprintf "%12.3f ms/run" (est /. 1e6)
-          | _ -> "(no estimate)"
-        in
-        (name, cell) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, cell) -> Printf.printf "%-40s %s\n" name cell) rows
-
-(* ------------------------------------------------------------------ *)
+        | l -> ", FAILED: " ^ String.concat ", " l);
+      List.length failed
 
 let () =
-  Array.iteri
-    (fun i arg ->
-      match arg with
-      | "--fast" -> fast := true
-      | "--no-timing" -> no_timing := true
-      | "--only" when i + 1 < Array.length Sys.argv ->
-          only := Some Sys.argv.(i + 1)
-      | "--csv" when i + 1 < Array.length Sys.argv ->
-          csv_dir := Some Sys.argv.(i + 1)
-      | "--json" when i + 1 < Array.length Sys.argv ->
-          json_dir := Some Sys.argv.(i + 1)
-      | "--jobs" when i + 1 < Array.length Sys.argv -> (
-          match int_of_string_opt Sys.argv.(i + 1) with
-          | Some j when j >= 0 -> jobs := Some j
-          | _ ->
-              prerr_endline "main.exe: --jobs expects a non-negative integer";
-              exit 2)
-      | "--help" | "-h" ->
-          usage ();
-          exit 0
-      | _ -> ())
-    Sys.argv;
-  register "E1" "reliable broadcast" e1;
-  register "E2" "rotor-coordinator" e2;
-  register "E2b" "rotor message profile" e2b;
-  register "E3" "consensus O(f)" e3;
-  register "E4" "early termination" e4;
-  register "E5" "approximate agreement" e5;
-  register "E5b" "dynamic approximate agreement" e5b;
-  register "E6" "iterated convergence" e6;
-  register "E7" "resiliency boundary" e7;
-  register "E8" "message complexity" e8;
-  register "E8b" "message breakdown" e8b;
-  register "E9" "parallel consensus" e9;
-  register "E10" "total ordering" e10;
-  register "E11" "async impossibility" e11;
-  register "E12" "semi-sync impossibility" e12;
-  register "E13" "attack matrix" e13;
-  register "A1" "rotor density ablation" a1;
-  register "A2" "discard-rule ablation" a2;
-  register "A3" "appendix algorithms" a3;
-  register "A4" "binary consensus" a4;
-  register "PERF" "engine throughput" perf;
-  register "PERF2" "sweep executor determinism" perf2;
-  register "R1" "chaos sweep" r1;
-  register "CX1" "wire-level complexity" cx1;
-  register "MC1" "exhaustive model checking" mc1;
-  register "RT1" "networked runtime oracle" rt1;
-  register "RT2" "fault-tolerant runtime" rt2;
-  register "RT3" "runtime latency/throughput" rt3;
-  register "SCALE" "engine v3 at scale" scale;
-  register "CX2" "sub-quadratic committee agreement" cx2;
-  let wanted (id, _, _) =
-    match !only with
-    | None -> true
-    | Some o -> List.exists (String.equal id) (String.split_on_char ',' o)
+  let fast = ref false and jobs = ref None in
+  let only = ref None and csv_dir = ref None and json_dir = ref None in
+  let spec =
+    Arg.align
+      [
+        ("--fast", Arg.Set fast, " shrink every sweep (CI smoke mode)");
+        ( "--only",
+          Arg.String (fun s -> only := Some (String.split_on_char ',' s)),
+          "ID[,ID] run the selected experiments only (e.g. --only E3,SCALE)"
+        );
+        ( "--csv",
+          Arg.String (fun d -> csv_dir := Some d),
+          "DIR write one CSV per experiment into DIR" );
+        ( "--json",
+          Arg.String (fun d -> json_dir := Some d),
+          "DIR write one BENCH_<ID>.json artifact per experiment into DIR" );
+        ( "--jobs",
+          Arg.Int
+            (fun j ->
+              if j < 0 then raise (Arg.Bad "--jobs expects N >= 0");
+              jobs := Some j),
+          "N worker domains for sweep cells (0 = all cores; default \
+           UBPA_JOBS, then 1)" );
+      ]
   in
-  let claim_failures = ref 0 in
-  List.iter
-    (fun (id, _, f) ->
-      Printf.printf "\n[%s] running...\n%!" id;
-      let t0 = Clock.now_ms () in
-      let table = f () in
-      let elapsed_ms = Clock.elapsed_ms ~since:t0 in
-      Table.print table;
-      (match !csv_dir with
-      | None -> ()
-      | Some dir ->
-          Ubpa_report.Artifact.mkdir_p dir;
-          let path = Filename.concat dir (id ^ ".csv") in
-          let oc = open_out path in
-          output_string oc (Table.to_csv table);
-          close_out oc;
-          Printf.printf "wrote %s\n%!" path);
-      match !json_dir with
-      | None -> ()
-      | Some dir ->
-          let open Ubpa_report in
-          let claims = Claims.for_experiment id table in
-          let columns = Table.columns table in
-          let rows = Table.rows table in
-          let artifact =
-            {
-              Artifact.experiment = id;
-              title = Table.title table;
-              fast = !fast;
-              seeds = List.map Int64.to_int (seeds ());
-              elapsed_ms;
-              columns;
-              rows;
-              claims;
-              metrics = Artifact.derive_metrics ~columns ~rows;
-              complexity =
-                (match id with
-                | "CX1" -> !cx1_fits
-                | "CX2" -> !cx2_fits
-                | _ -> []);
-            }
-          in
-          let path = Artifact.write ~dir artifact in
-          (if String.equal id "CX1" && !cx1_trace <> "" then begin
-             let tpath = Filename.concat dir "TRACE_CX1.jsonl" in
-             let oc = open_out tpath in
-             output_string oc !cx1_trace;
-             close_out oc;
-             Printf.printf "wrote %s\n%!" tpath
-           end);
-          (if String.equal id "RT2" && !rt2_trace <> "" then begin
-             let tpath = Filename.concat dir "TRACE_RT2.jsonl" in
-             let oc = open_out tpath in
-             output_string oc !rt2_trace;
-             close_out oc;
-             Printf.printf "wrote %s\n%!" tpath
-           end);
-          (if String.equal id "MC1" && !mc1_cex <> "" then begin
-             let cpath = Filename.concat dir "CEX_MC1.jsonl" in
-             let oc = open_out cpath in
-             output_string oc !mc1_cex;
-             close_out oc;
-             Printf.printf "wrote %s\n%!" cpath
-           end);
-          let failed =
-            List.filter
-              (fun (c : Artifact.claim) -> c.status = Artifact.Fail)
-              claims
-          in
-          claim_failures := !claim_failures + List.length failed;
-          Printf.printf "wrote %s (%d claims%s)\n%!" path (List.length claims)
-            (match failed with
-            | [] -> ""
-            | l ->
-                ", FAILED: "
-                ^ String.concat ", "
-                    (List.map (fun (c : Artifact.claim) -> c.cid) l)))
-    (List.filter wanted (List.rev !experiments));
-  if (not !no_timing) && !only = None then timing ();
-  if !claim_failures > 0 then begin
-    Printf.eprintf "%d claim(s) failed\n%!" !claim_failures;
+  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  let selected =
+    match !only with
+    | None -> experiments
+    | Some ids ->
+        let known = List.map (fun (e : Experiment.t) -> e.id) experiments in
+        List.iter
+          (fun id ->
+            if not (List.mem id known) then begin
+              Printf.eprintf "main.exe: --only: no experiment %S\n" id;
+              Arg.usage spec usage;
+              exit 2
+            end)
+          ids;
+        List.filter (fun (e : Experiment.t) -> List.mem e.id ids) experiments
+  in
+  let cfg = { Experiment.fast = !fast; jobs = !jobs } in
+  let failures =
+    List.fold_left
+      (fun acc e ->
+        acc + run_one cfg ~csv_dir:!csv_dir ~json_dir:!json_dir e)
+      0 selected
+  in
+  if failures > 0 then begin
+    Printf.eprintf "%d claim(s) failed\n%!" failures;
     exit 1
   end

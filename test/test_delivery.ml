@@ -483,6 +483,43 @@ let test_engine_equivalence () =
     "per-broadcast wire = per-delivery wire" true
     (Ubpa_obs.Wire.equal (R.wire oracle) (Net.wire net))
 
+(* Multi-sender reliable broadcast is the routing worst case: every node
+   is a designated sender with its own payload, so from round 2 on each
+   inbox carries echoes of n payloads from n senders, and the reference
+   core's duplicate scan sees its longest inboxes. *)
+module Rb = Unknown_ba.Reliable_broadcast.Make (Unknown_ba.Value.String)
+module Hrb = Ubpa_harness.Harness.Make (Rb)
+
+let test_engine_equivalence_multi_sender () =
+  let n = 13 in
+  let ids = Node_id.scatter ~seed:97L n in
+  let payload i = Some (Printf.sprintf "m%d" i) in
+  let net =
+    Hrb.Net.create
+      ~correct:(List.mapi (fun i nid -> (nid, payload i)) ids)
+      ~byzantine:[] ()
+  in
+  let module R = Ubpa_harness.Harness.Reference in
+  let oracle = R.create () in
+  for _ = 1 to 6 do
+    Hrb.Net.step_round net;
+    Hrb.check_reference oracle net
+  done;
+  Alcotest.(check (option string)) "no divergence" None (R.divergence oracle);
+  Alcotest.(check int) "every round checked" 6 (R.rounds oracle);
+  Alcotest.(check int)
+    "same deliveries" (R.delivered oracle)
+    (Metrics.delivered (Hrb.Net.metrics net));
+  Alcotest.(check bool)
+    "per-broadcast wire = per-delivery wire" true
+    (Ubpa_obs.Wire.equal (R.wire oracle) (Hrb.Net.wire net));
+  List.iter
+    (fun (r : Hrb.Net.node_report) ->
+      Alcotest.(check int)
+        "every node accepted every sender's payload" n
+        (List.length (Option.value ~default:[] r.last_output)))
+    (Hrb.Net.reports net)
+
 (* ----- trace-level determinism ----- *)
 
 (* Stronger than outcome equivalence: the same seed must yield the same
@@ -646,6 +683,8 @@ let suite =
         test_arena_state_reuse;
       Alcotest.test_case "engine equivalence: full consensus run" `Quick
         test_engine_equivalence;
+      Alcotest.test_case "engine equivalence: multi-sender RB at n=13" `Quick
+        test_engine_equivalence_multi_sender;
       Alcotest.test_case "trace determinism across cores (with faults)" `Quick
         test_trace_determinism;
       Alcotest.test_case "fault path: only victims' inboxes are filtered"
