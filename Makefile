@@ -52,8 +52,9 @@ bench-only:
 # Engine v3 at scale: the full SCALE sweep — single-sender RB to
 # n=10,000 and consensus to n=301 (55M deliveries) under the arena
 # core, reference-oracle identity and flat-allocation claims gated.
-# ~5 min serial; the n=10,000 cell wants several GB of RAM (per-node
-# protocol state, not the delivery engine).
+# ~2 min serial. Peak heap ~2.7 GB comes from the consensus n=301 cell
+# (each node buffers ~n^2 candidate echoes until its rotor round); the
+# n=10,000 RB cell needs ~100 MB.
 scale:
 	dune exec bench/main.exe -- --only SCALE \
 		--json results/json-scale/ --jobs $(JOBS)

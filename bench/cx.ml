@@ -4,6 +4,40 @@ open Ubpa_harness
 open Ubpa_scenarios
 open Experiment
 
+(* The cross-core cells of a run checked against the reference core, as
+   SCALE reports them: beside the run's own rounds (a column of each
+   table), its delivered count and wire digest, each next to the
+   oracle's — whose digest is the divergence text's when a round
+   diverged — so a claim can compare the two sides cell by cell. *)
+let wire_digest w =
+  digest_cell (fnv1a (Json.to_string (Ubpa_obs.Wire.to_json w)))
+
+let cross_columns =
+  [ "ref rounds"; "delivered"; "ref delivered"; "digest"; "ref digest" ]
+
+let cross_cells ~delivered ~wire r =
+  [
+    Table.cell_int (Harness.Reference.rounds r);
+    Table.cell_int delivered;
+    Table.cell_int (Harness.Reference.delivered r);
+    wire_digest wire;
+    (match Harness.Reference.divergence r with
+    | None -> wire_digest (Harness.Reference.wire r)
+    | Some what -> digest_cell (fnv1a what));
+  ]
+
+(* Every row whose oracle cells are filled agrees with its run on all
+   three; at least one row is filled. *)
+let cross_cells_agree rows get =
+  let checked = List.filter (fun r -> get r "ref digest" <> "-") rows in
+  checked <> []
+  && List.for_all
+       (fun r ->
+         List.for_all
+           (fun c -> get r c = get r ("ref " ^ c))
+           [ "rounds"; "delivered"; "digest" ])
+       checked
+
 (* ------------------------------------------------------------------ *)
 (* CX1: wire-level complexity accounting                                *)
 (* ------------------------------------------------------------------ *)
@@ -44,7 +78,7 @@ let cx1_run cfg =
       Hr.execute ?trace ?reference ~seed:101L ~max_rounds:40
         ~stop:everyone_accepted ~settle:2 ~correct ~byzantine:[] ()
     in
-    Hr.Net.wire o.Hr.net
+    (Hr.Net.wire o.Hr.net, o.Hr.rounds, o.Hr.delivered_msgs)
   in
   let consensus_run ~reference n =
     let ids = Harness.make_ids ~seed:102L n in
@@ -53,7 +87,7 @@ let cx1_run cfg =
       Hc.execute ~reference ~seed:102L ~max_rounds:1000 ~correct
         ~byzantine:[] ()
     in
-    Hc.Net.wire o.Hc.net
+    (Hc.Net.wire o.Hc.net, o.Hc.rounds, o.Hc.delivered_msgs)
   in
   let binary_run ~reference n =
     let ids = Harness.make_ids ~seed:103L n in
@@ -62,7 +96,7 @@ let cx1_run cfg =
       Hb.execute ~reference ~seed:103L ~max_rounds:2000 ~correct
         ~byzantine:[] ()
     in
-    Hb.Net.wire o.Hb.net
+    (Hb.Net.wire o.Hb.net, o.Hb.rounds, o.Hb.delivered_msgs)
   in
   let t =
     Table.create
@@ -70,7 +104,9 @@ let cx1_run cfg =
         "CX1: wire-level complexity (all-correct sweeps; counters from the \
          delivery core's accept points, cross-checked per round against the \
          reference core)"
-      ~columns:[ "algo"; "n"; "wire msgs"; "wire bits"; "cross-core" ]
+      ~columns:
+        ([ "algo"; "n"; "wire msgs"; "wire bits"; "cross-core"; "rounds" ]
+        @ cross_columns)
   in
   let ns = [ 5; 9; 13; 21; 31 ] in
   let runs =
@@ -86,31 +122,34 @@ let cx1_run cfg =
         List.map
           (fun (algo, run) ->
             let reference = Harness.Reference.create () in
-            let w = run ~reference n in
+            let w, rounds, delivered = run ~reference n in
             ( algo,
               n,
               Ubpa_obs.Wire.messages w,
               Ubpa_obs.Wire.bits w,
               Harness.Reference.agrees reference
-              && Ubpa_obs.Wire.equal w (Harness.Reference.wire reference) ))
+              && Ubpa_obs.Wire.equal w (Harness.Reference.wire reference),
+              Table.cell_int rounds :: cross_cells ~delivered ~wire:w reference
+            ))
           runs)
       ns
     |> List.concat
   in
   List.iter
-    (fun (algo, n, msgs, bits, same) ->
+    (fun (algo, n, msgs, bits, same, cross) ->
       Table.add_row t
-        [
-          algo;
-          Table.cell_int n;
-          Table.cell_int msgs;
-          Table.cell_int bits;
-          bool_cell same;
-        ])
+        ([
+           algo;
+           Table.cell_int n;
+           Table.cell_int msgs;
+           Table.cell_int bits;
+           bool_cell same;
+         ]
+        @ cross))
     cells;
   let points algo pick =
     List.filter_map
-      (fun (a, n, msgs, bits, _) ->
+      (fun (a, n, msgs, bits, _, _) ->
         if String.equal a algo then Some (n, float_of_int (pick msgs bits))
         else None)
       cells
@@ -137,7 +176,7 @@ let cx1_run cfg =
   (* A small traced run for the observability tooling: TRACE_CX1.jsonl is
      what `ubpa trace --file` examples and the CI trace artifact read. *)
   let tr = Trace.create () in
-  let (_ : Ubpa_obs.Wire.t) = rb_run ~trace:tr 5 in
+  let (_ : Ubpa_obs.Wire.t * int * int) = rb_run ~trace:tr 5 in
   {
     table = t;
     complexity;
@@ -177,8 +216,11 @@ let cx1 =
             "on every swept run the arena core routes every round exactly as \
              the reference core does, and its once-per-broadcast wire \
              counters equal the reference core's per-delivery ones (totals, \
-             per-round, per-node, per-sender, per-kind)"
-            (all_yes "cross-core");
+             per-round, per-node, per-sender, per-kind): each row's rounds, \
+             delivered count and wire digest equal the oracle's"
+            (all_yes "cross-core"
+            && List.for_all (fun r -> get r "ref digest" <> "-") rows
+            && cross_cells_agree rows get);
         ]);
   }
 
@@ -227,11 +269,12 @@ let cx2_run cfg =
          accounting on) — the gated quantity is the densest node's \
          sent+received budget against a c*sqrt(n)*log^2(n) envelope"
       ~columns:
-        [
-          "workload"; "n"; "f"; "k"; "byz-in-k"; "q"; "rounds"; "agreed";
-          "valid"; "halted"; "monitors"; "node-msgs(max)"; "node-bits(max)";
-          "cross-core";
-        ]
+        ([
+           "workload"; "n"; "f"; "k"; "byz-in-k"; "q"; "rounds"; "agreed";
+           "valid"; "halted"; "monitors"; "node-msgs(max)"; "node-bits(max)";
+           "cross-core";
+         ]
+        @ cross_columns)
   in
   let cells =
     Pool.map ?jobs:cfg.jobs
@@ -244,12 +287,15 @@ let cx2_run cfg =
             let s = run ?reference ~inputs n in
             let cross =
               match reference with
-              | None -> "-"
+              | None ->
+                  [ "-"; "-"; Table.cell_int s.C.delivered_msgs; "-";
+                    wire_digest s.C.wire; "-" ]
               | Some r ->
                   Table.cell_bool
                     (Harness.Reference.agrees r
                     && Harness.Reference.delivered r = s.C.delivered_msgs
                     && Ubpa_obs.Wire.equal (Harness.Reference.wire r) s.C.wire)
+                  :: cross_cells ~delivered:s.C.delivered_msgs ~wire:s.C.wire r
             in
             (workload, n, s, cross))
           workloads)
@@ -259,7 +305,7 @@ let cx2_run cfg =
   List.iter
     (fun (workload, n, (s : C.summary), cross) ->
       Table.add_row t
-        [
+        ([
           workload;
           Table.cell_int n;
           Table.cell_int s.C.f;
@@ -273,8 +319,8 @@ let cx2_run cfg =
           bool_cell s.C.monitor_green;
           Table.cell_int s.C.max_budget_msgs;
           Table.cell_int s.C.max_budget_bits;
-          cross;
-        ])
+        ]
+        @ cross))
     cells;
   (* One point per n: the worst (max) per-node budget across workloads —
      the envelope must hold for the hardest cell, not an average. *)
@@ -337,9 +383,15 @@ let cx2 =
           claim "CX2.cross-core-identity"
             "at the overlap population every round of the run is re-routed \
              through the reference core: identical inboxes, deliveries and \
-             wire counters (so identical per-node budgets)"
+             wire counters (so identical per-node budgets) — the overlap \
+             rows' rounds, delivered count and wire digest equal the \
+             oracle's"
             (List.exists (fun r -> get r "cross-core" = "yes") rows
-            && List.for_all (fun r -> get r "cross-core" <> "no") rows);
+            && List.for_all (fun r -> get r "cross-core" <> "no") rows
+            && List.for_all
+                 (fun r -> (get r "cross-core" = "-") = (get r "ref digest" = "-"))
+                 rows
+            && cross_cells_agree rows get);
         ]);
   }
 

@@ -100,5 +100,24 @@ let () =
                 [ ("algo", "consensus") ],
                 "cross-core",
                 "no" );
+              ( "an oracle wire digest differing from the run's",
+                [ ("algo", "binary"); ("n", "13") ],
+                "ref digest",
+                "0000000000000000" );
+              ( "an oracle delivered count differing from the run's",
+                [ ("algo", "rb"); ("n", "31") ],
+                "ref delivered",
+                "0" );
+            ]
+        @ cases Cx.cx2 "CX2.cross-core-identity"
+            [
+              ( "an overlap run's wire digest differing from the oracle's",
+                [ ("workload", "split"); ("n", "301") ],
+                "digest",
+                "0000000000000000" );
+              ( "an overlap run's oracle round count differing",
+                [ ("workload", "unanimous"); ("n", "301") ],
+                "ref rounds",
+                "0" );
             ] );
     ]

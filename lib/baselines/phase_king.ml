@@ -11,6 +11,7 @@ module Make (V : Value.S) = struct
 
   type state = {
     self : Node_id.t;
+    ids : Id_table.t;  (** the network's shared identifier index *)
     members : Node_id.t list;  (** ascending; kings rotate through it *)
     n : int;
     f : int;
@@ -24,10 +25,11 @@ module Make (V : Value.S) = struct
 
   let name = "phase-king"
 
-  let init ~self ~round:_ { value; members; f } =
+  let init ~self ~round:_ ~ids { value; members; f } =
     let members = Node_id.sorted members in
     {
       self;
+      ids;
       members;
       n = List.length members;
       f;
@@ -66,7 +68,7 @@ module Make (V : Value.S) = struct
     let phase = ((st.local_round - 1) / 3) + 1 in
     let pos = ((st.local_round - 1) mod 3) + 1 in
     let tally_of extract =
-      let t = Tally.create ~compare:V.compare () in
+      let t = Tally.create ~compare:V.compare ~ids:st.ids in
       List.iter
         (fun (src, msg) ->
           if List.exists (Node_id.equal src) st.members then

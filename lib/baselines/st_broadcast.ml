@@ -21,6 +21,7 @@ module Make (V : Value.S) = struct
 
   type state = {
     my_payload : V.t option;
+    ids : Id_table.t;  (** the network's shared identifier index *)
     f : int;
     mutable accepted : accepted list;
     mutable accepted_set : int Pair_map.t;
@@ -29,9 +30,10 @@ module Make (V : Value.S) = struct
 
   let name = "st-broadcast"
 
-  let init ~self:_ ~round:_ { payload; f } =
+  let init ~self:_ ~round:_ ~ids { payload; f } =
     {
       my_payload = payload;
+      ids;
       f;
       accepted = [];
       accepted_set = Pair_map.empty;
@@ -76,7 +78,7 @@ module Make (V : Value.S) = struct
         in
         (st, sends, Protocol.Continue)
     | _ ->
-        let tally = Tally.create ~compare:Pair.compare () in
+        let tally = Tally.create ~compare:Pair.compare ~ids:st.ids in
         List.iter
           (fun (src, msg) ->
             match msg with

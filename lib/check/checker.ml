@@ -84,6 +84,10 @@ module Make (M : Model.S) = struct
     let correct =
       List.sort (fun (a, _) (b, _) -> Node_id.compare a b) correct
     in
+    (* One index table per simulation, shared by every branch copied from
+       it: [copy_sim] copies the per-node bitsets, never the table. Each
+       Pool task replays its own simulation, so no table crosses domains. *)
+    let ids = Id_table.create ~hint:(List.length correct) () in
     let nodes =
       Array.of_list
         (List.map
@@ -91,7 +95,7 @@ module Make (M : Model.S) = struct
              {
                cn_id = id;
                cn_input = input;
-               cn_state = P.init ~self:id ~round:1 input;
+               cn_state = P.init ~self:id ~round:1 ~ids input;
                cn_first_output = None;
                cn_output = None;
                cn_halted = None;

@@ -16,6 +16,7 @@ type stimulus = Protocol.No_stimulus.t
 
 type state = {
   self : Node_id.t;
+  ids : Id_table.t;  (** the network's shared identifier index *)
   rotor : Rotor_core.t;
   mutable x_v : bool;
   mutable local_round : int;
@@ -33,10 +34,11 @@ type state = {
 
 let name = "binary-consensus"
 
-let init ~self ~round:_ input =
+let init ~self ~round:_ ~ids input =
   {
     self;
-    rotor = Rotor_core.create ();
+    ids;
+    rotor = Rotor_core.create ~ids;
     x_v = input;
     local_round = 0;
     heard_from = Node_id.Set.empty;
@@ -78,8 +80,8 @@ let phase st =
 
 let position st = ((st.local_round - 3) mod 5) + 1
 
-let tally_bool inbox ~extract =
-  let t = Tally.create ~compare:Bool.compare () in
+let tally_bool st inbox ~extract =
+  let t = Tally.create ~compare:Bool.compare ~ids:st.ids in
   List.iter
     (fun (src, msg) ->
       match extract msg with Some x -> Tally.add t ~sender:src x | None -> ())
@@ -118,7 +120,7 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
           (st, [ (Envelope.Broadcast, Input st.x_v) ], Protocol.Continue)
       | 2 ->
           let t =
-            tally_bool inbox ~extract:(function Input x -> Some x | _ -> None)
+            tally_bool st inbox ~extract:(function Input x -> Some x | _ -> None)
           in
           let sends =
             match Tally.max_by_count t with
@@ -129,7 +131,7 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
           (st, sends, Protocol.Continue)
       | 3 ->
           let t =
-            tally_bool inbox ~extract:(function
+            tally_bool st inbox ~extract:(function
               | Support x -> Some x
               | _ -> None)
           in

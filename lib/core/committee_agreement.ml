@@ -61,11 +61,11 @@ module Make (V : Value.S) = struct
     mutable decided : V.t option;
   }
 
-  let init ~self ~round:_ (input : input) =
+  let init ~self ~round:_ ~ids (input : input) =
     let sample = Committee.shared ~seed:input.seed ~universe:input.universe in
     let role =
       if Committee.is_member sample self then
-        Member (Core.create ~self ~input:input.value)
+        Member (Core.create ~self ~ids ~input:input.value)
       else
         let attestors = Committee.attestors_of sample self in
         Observer

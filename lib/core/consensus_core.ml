@@ -48,8 +48,10 @@ module Make (V : Value.S) = struct
     rotor : Rotor_core.t;
     mutable x_v : V.t;
     mutable local_round : int;
-    intr : Interner.t;
-        (** dense member indices; fed until round 3, frozen after *)
+    ids : Id_table.t;  (** the network's shared identifier index *)
+    members : Bitset.t;
+        (** senders heard from, over [ids]: fed through round 3, then
+            frozen as the membership snapshot *)
     mutable members_asc : Node_id.t list;  (** ascending, cached at freeze *)
     mutable n_v : int;
     mutable cand_buffer : (Node_id.t * Node_id.t) list;
@@ -62,18 +64,19 @@ module Make (V : Value.S) = struct
     mutable sent_prefer : V.t option;  (** my broadcast at position 2 *)
     mutable sent_strong : V.t option;  (** my broadcast at position 3 *)
     mutable phase_silent : Bitset.t;
-        (** members (by dense index) that sent no [input] this phase —
+        (** members (by index) that sent no [input] this phase —
             terminated (or byz-silent) nodes whose messages get
             substituted *)
   }
 
-  let create ~self ~input =
+  let create ~self ~ids ~input =
     {
       self;
-      rotor = Rotor_core.create ();
+      rotor = Rotor_core.create ~ids;
       x_v = input;
       local_round = 0;
-      intr = Interner.create ();
+      ids;
+      members = Bitset.create ();
       members_asc = [];
       n_v = 0;
       cand_buffer = [];
@@ -86,6 +89,12 @@ module Make (V : Value.S) = struct
     }
 
   let opinion t = t.x_v
+
+  (* The identifiers of an index set, ascending. *)
+  let sorted_ids t set =
+    Bitset.fold set ~init:[] ~f:(fun acc ix -> Id_table.id t.ids ix :: acc)
+    |> List.sort Node_id.compare
+
   let members t = t.members_asc
   let n_v t = t.n_v
 
@@ -93,25 +102,20 @@ module Make (V : Value.S) = struct
     {
       t with
       rotor = Rotor_core.copy t.rotor;
-      intr = Interner.copy t.intr;
+      members = Bitset.copy t.members;
       phase_silent = Bitset.copy t.phase_silent;
     }
 
   (* Canonical id-space fingerprint for the bounded checker's dedup.
-     Set-semantics fields ([intr] membership, [phase_silent], the echo and
+     Set-semantics fields ([members], [phase_silent], the echo and
      strongprefer buffers — every consumer runs them through a tally whose
      thresholds and deterministic tie-break are insertion-order free) are
-     sorted; everything else is copied verbatim. Fixed separators, written
-     straight into the caller's buffer. *)
+     sorted, the bitsets by identifier (never by shared index); everything
+     else is copied verbatim. Fixed separators, written straight into the
+     caller's buffer. *)
   let add_key b t =
-    let members = ref [] in
-    Interner.iter t.intr (fun _ id -> members := id :: !members);
-    let members = List.sort Node_id.compare !members in
-    let silent =
-      Bitset.fold t.phase_silent ~init:[] ~f:(fun acc ix ->
-          if ix < t.n_v then Interner.extern t.intr ix :: acc else acc)
-      |> List.sort Node_id.compare
-    in
+    let members = sorted_ids t t.members in
+    let silent = sorted_ids t t.phase_silent in
     let pair_cmp (a, b) (c, d) =
       match Node_id.compare a c with 0 -> Node_id.compare b d | x -> x
     in
@@ -166,33 +170,35 @@ module Make (V : Value.S) = struct
 
   let position t = ((t.local_round - 3) mod 5) + 1
 
-  (* Count messages of one kind from this round's inbox. Members of
-     [eligible] (a predicate over dense member indices) that sent nothing of
-     this kind are substituted with [my_send] — the message this node itself
-     sent of that kind — per the caption of Algorithm 3. Returns the tally
-     and the dense-index set of real senders. By the time this runs,
-     membership is frozen and the inbox is filtered to members, so every
-     sender already has a dense index. *)
-  let tally_with_substitution t ~extract ~my_send ~eligible inbox =
-    let tally = Tally.create ~compare:V.compare ~interner:t.intr () in
-    let spoke = Bitset.create ~hint:t.n_v () in
-    List.iter
-      (fun (src, msg) ->
-        match extract msg with
-        | Some x ->
-            let ix = Interner.intern t.intr src in
-            Bitset.add spoke ix;
-            Tally.add_index tally ix x
-        | None -> ())
-      inbox;
+  (* Tally the [(src, x)] pairs [each_sent] feeds to its argument, then
+     substitute [my_send] — the message this node itself sent of that kind
+     — for every member of [eligible] (a predicate over member indices)
+     that sent nothing, per the caption of Algorithm 3. Returns the tally
+     and the index set of real senders. By the time this runs membership
+     is frozen and the inbox is filtered to members. *)
+  let tally_substituted t ~my_send ~eligible each_sent =
+    let tally = Tally.create ~compare:V.compare ~ids:t.ids in
+    let spoke = Bitset.create () in
+    each_sent (fun src x ->
+        let ix = Id_table.index t.ids src in
+        Bitset.add spoke ix;
+        Tally.add_index tally ix x);
     (match my_send with
     | None -> ()
     | Some x ->
-        for ix = 0 to t.n_v - 1 do
-          if eligible ix && not (Bitset.mem spoke ix) then
-            Tally.add_index tally ix x
-        done);
+        Bitset.iter t.members (fun ix ->
+            if eligible ix && not (Bitset.mem spoke ix) then
+              Tally.add_index tally ix x));
     (tally, spoke)
+
+  (* Count messages of one kind from this round's inbox, with silent
+     members substituted ({!tally_substituted}). *)
+  let tally_with_substitution t ~extract ~my_send ~eligible inbox =
+    tally_substituted t ~my_send ~eligible (fun add ->
+        List.iter
+          (fun (src, msg) ->
+            match extract msg with Some x -> add src x | None -> ())
+          inbox)
 
   let buffer_cand_echoes t inbox =
     List.iter
@@ -208,10 +214,15 @@ module Make (V : Value.S) = struct
        round 3 on, messages from non-members are discarded. *)
     let inbox =
       if t.local_round <= 3 then begin
-        List.iter (fun (src, _) -> ignore (Interner.intern t.intr src)) inbox;
+        List.iter
+          (fun (src, _) -> Bitset.add t.members (Id_table.index t.ids src))
+          inbox;
         inbox
       end
-      else List.filter (fun (src, _) -> Interner.mem t.intr src) inbox
+      else
+        List.filter
+          (fun (src, _) -> Bitset.mem t.members (Id_table.index t.ids src))
+          inbox
     in
     match t.local_round with
     | 1 -> ([ (Envelope.Broadcast, Init) ], Running)
@@ -227,12 +238,11 @@ module Make (V : Value.S) = struct
         (sends, Running)
     | _ -> (
         if t.local_round = 3 then begin
-          (* Freeze membership: the interner stops admitting new senders
-             (the round >= 4 filter above rejects them before interning). *)
-          t.n_v <- Interner.size t.intr;
-          let ids = ref [] in
-          Interner.iter t.intr (fun _ id -> ids := id :: !ids);
-          t.members_asc <- List.sort Node_id.compare !ids
+          (* Freeze membership: [members] admits no sender after this
+             round (the round >= 4 filter above rejects them), whatever
+             other nodes add to the shared table. *)
+          t.n_v <- Bitset.count t.members;
+          t.members_asc <- sorted_ids t t.members
         end;
         buffer_cand_echoes t inbox;
         match position t with
@@ -254,10 +264,9 @@ module Make (V : Value.S) = struct
             in
             (* Members without an input this phase are terminated (or
                byz-silent); their later messages are substituted too. *)
-            let silent = Bitset.create ~hint:t.n_v () in
-            for ix = 0 to t.n_v - 1 do
-              if not (Bitset.mem spoke ix) then Bitset.add silent ix
-            done;
+            let silent = Bitset.create () in
+            Bitset.iter t.members (fun ix ->
+                if not (Bitset.mem spoke ix) then Bitset.add silent ix);
             t.phase_silent <- silent;
             let sends =
               match Tally.max_by_count tally with
@@ -315,24 +324,11 @@ module Make (V : Value.S) = struct
             (* Position 5: resolve the phase. The strongprefer tally comes
                from position 4's inbox; the coordinator's opinion arrives
                now. *)
-            let tally =
-              let tly = Tally.create ~compare:V.compare ~interner:t.intr () in
-              let spoke = Bitset.create ~hint:t.n_v () in
-              List.iter
-                (fun (src, x) ->
-                  let ix = Interner.intern t.intr src in
-                  Bitset.add spoke ix;
-                  Tally.add_index tly ix x)
-                t.strong_stash;
+            let tally, _ =
               (* Substitute my own strongprefer for phase-silent members. *)
-              (match t.sent_strong with
-              | None -> ()
-              | Some x ->
-                  for ix = 0 to t.n_v - 1 do
-                    if Bitset.mem t.phase_silent ix && not (Bitset.mem spoke ix)
-                    then Tally.add_index tly ix x
-                  done);
-              tly
+              tally_substituted t ~my_send:t.sent_strong
+                ~eligible:(Bitset.mem t.phase_silent) (fun add ->
+                  List.iter (fun (src, x) -> add src x) t.strong_stash)
             in
             let coordinator_opinion =
               match t.coordinator with

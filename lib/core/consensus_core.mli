@@ -59,8 +59,10 @@ module Make (V : Value.S) : sig
     rotor : Rotor_core.t;
     mutable x_v : V.t;
     mutable local_round : int;
-    intr : Interner.t;
-        (** dense member indices; fed until round 3, frozen after *)
+    ids : Id_table.t;  (** the network's shared identifier index *)
+    members : Bitset.t;
+        (** senders heard from, over [ids]: fed through round 3, then
+            frozen as the membership snapshot *)
     mutable members_asc : Node_id.t list;  (** ascending, cached at freeze *)
     mutable n_v : int;
     mutable cand_buffer : (Node_id.t * Node_id.t) list;
@@ -73,10 +75,11 @@ module Make (V : Value.S) : sig
     mutable sent_prefer : V.t option;  (** my broadcast at position 2 *)
     mutable sent_strong : V.t option;  (** my broadcast at position 3 *)
     mutable phase_silent : Bitset.t;
-        (** members (by dense index) that sent no [input] this phase *)
+        (** members (by index) that sent no [input] this phase *)
   }
 
-  val create : self:Node_id.t -> input:V.t -> t
+  val create : self:Node_id.t -> ids:Id_table.t -> input:V.t -> t
+  (** [ids] is the host node's shared index ([Protocol.S.init]'s). *)
 
   val step :
     t ->

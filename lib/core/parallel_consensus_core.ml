@@ -78,6 +78,7 @@ module Make (V : Value.S) = struct
   type t = {
     self : Node_id.t;
     restrict : Node_id.Set.t option;
+    ids : Id_table.t;  (** the network's shared identifier index *)
     rotor : Rotor_core.t;
     mutable local_round : int;
     mutable heard_from : Node_id.Set.t;
@@ -100,14 +101,15 @@ module Make (V : Value.S) = struct
       strong_stash = [];
     }
 
-  let create ?restrict ~self ~inputs () =
-    let ids = List.map fst inputs in
-    if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
-      invalid_arg "Parallel_consensus_core: duplicate instance identifiers";
+  let create ?restrict ~self ~ids ~inputs () =
+    let inst_ids = List.map fst inputs in
+    if List.length (List.sort_uniq Int.compare inst_ids) <> List.length inst_ids
+    then invalid_arg "Parallel_consensus_core: duplicate instance identifiers";
     {
       self;
       restrict;
-      rotor = Rotor_core.create ();
+      ids;
+      rotor = Rotor_core.create ~ids;
       local_round = 0;
       heard_from = Node_id.Set.empty;
       members = Node_id.Set.empty;
@@ -152,7 +154,7 @@ module Make (V : Value.S) = struct
      pairs actually received, [markers] the senders of the slot's no-op
      marker. Silent members are filled per the phase rule. *)
   let slot_tally t ~first_phase ~my_send ~sent ~markers =
-    let tally = Tally.create ~compare:compare_opinion () in
+    let tally = Tally.create ~compare:compare_opinion ~ids:t.ids in
     let spoke = ref Node_id.Set.empty in
     List.iter
       (fun (src, o) ->

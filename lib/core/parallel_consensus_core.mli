@@ -74,12 +74,14 @@ module Make (V : Value.S) : sig
   val create :
     ?restrict:Node_id.Set.t ->
     self:Node_id.t ->
+    ids:Id_table.t ->
     inputs:(int * V.t) list ->
     unit ->
     t
   (** [restrict] drops messages from senders outside the given set — used
       by the total-ordering algorithm to run an instance group "with
-      respect to [S]". *)
+      respect to [S]". [ids] is the host node's shared index
+      ([Protocol.S.init]'s). *)
 
   val step :
     t ->

@@ -26,7 +26,8 @@ module Make (V : Value.S) = struct
 
   type state = {
     my_payload : V.t option;
-    heard_from : Interner.t;  (** senders seen so far; [size] = n_v *)
+    ids : Id_table.t;  (** the network's shared identifier index *)
+    heard_from : Bitset.t;  (** senders seen so far, over [ids]; count = n_v *)
     mutable accepted : accepted list;  (** newest first *)
     mutable accepted_set : int Pair_map.t;  (** pair -> accept round *)
     mutable local_round : int;  (** rounds since this node joined, from 1 *)
@@ -34,17 +35,20 @@ module Make (V : Value.S) = struct
 
   let name = "reliable-broadcast"
 
-  let copy_state st = { st with heard_from = Interner.copy st.heard_from }
+  let copy_state st = { st with heard_from = Bitset.copy st.heard_from }
 
-  (* Canonical id-space fingerprint. [heard_from] is a set (only [size] and
-     membership feed the dynamics), so it is externed and sorted; the
+  (* Canonical id-space fingerprint. [heard_from] is a set (only its count
+     and membership feed the dynamics), so its indices go back to ids and
+     are sorted — the shared table's index order never reaches the key; the
      [accepted] list is sorted by pair because its order only affects the
      order of entries inside the output list, never a tally or threshold —
      equal keys therefore mean equal behavior on equal future inboxes. *)
   let state_key st =
-    let heard = ref [] in
-    Interner.iter st.heard_from (fun _ id -> heard := id :: !heard);
-    let heard = List.sort Node_id.compare !heard in
+    let heard =
+      Bitset.fold st.heard_from ~init:[] ~f:(fun acc ix ->
+          Id_table.id st.ids ix :: acc)
+      |> List.sort Node_id.compare
+    in
     let acc =
       List.sort
         (fun a b -> Pair.compare (a.payload, a.sender) (b.payload, b.sender))
@@ -70,10 +74,11 @@ module Make (V : Value.S) = struct
     Key.add_list b ~sep:';' add_acc acc;
     Buffer.contents b
 
-  let init ~self:_ ~round:_ input =
+  let init ~self:_ ~round:_ ~ids input =
     {
       my_payload = input;
-      heard_from = Interner.create ();
+      ids;
+      heard_from = Bitset.create ();
       accepted = [];
       accepted_set = Pair_map.empty;
       local_round = 0;
@@ -99,7 +104,9 @@ module Make (V : Value.S) = struct
   let encoded_bits = Protocol.structural_bits
 
   let note_senders st inbox =
-    List.iter (fun (src, _) -> ignore (Interner.intern st.heard_from src)) inbox
+    List.iter
+      (fun (src, _) -> Bitset.add st.heard_from (Id_table.index st.ids src))
+      inbox
 
   let step ~self:_ ~round ~stim:_ st ~inbox =
     st.local_round <- st.local_round + 1;
@@ -128,19 +135,18 @@ module Make (V : Value.S) = struct
         (st, sends, Protocol.Continue)
     | _ ->
         (* Rounds >= 3: per-round echo tallies against n_v thresholds. One
-           pass notes every sender and tallies its echo under the dense
-           index it was just given. *)
-        let tally =
-          Tally.create ~compare:Pair.compare ~interner:st.heard_from ()
-        in
+           pass notes every sender and tallies its echo under the sender's
+           index. *)
+        let tally = Tally.create ~compare:Pair.compare ~ids:st.ids in
         List.iter
           (fun (src, msg) ->
-            let ix = Interner.intern st.heard_from src in
+            let ix = Id_table.index st.ids src in
+            Bitset.add st.heard_from ix;
             match msg with
             | Echo (m, s) -> Tally.add_index tally ix (m, s)
             | Payload _ | Present -> ())
           inbox;
-        let n_v = Interner.size st.heard_from in
+        let n_v = Bitset.count st.heard_from in
         let sends = ref [] in
         let newly_accepted = ref false in
         List.iter

@@ -31,7 +31,8 @@ module Make (V : Value.S) : sig
       check {!state_key} against an independent encoding. *)
   type state = private {
     my_payload : V.t option;
-    heard_from : Interner.t;  (** senders seen so far; [size] = n_v *)
+    ids : Id_table.t;  (** the network's shared identifier index *)
+    heard_from : Bitset.t;  (** senders seen so far, over [ids]; count = n_v *)
     mutable accepted : accepted list;  (** newest first *)
     mutable accepted_set : int Pair_map.t;  (** pair -> accept round *)
     mutable local_round : int;  (** rounds since this node joined, from 1 *)

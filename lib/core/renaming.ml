@@ -10,6 +10,7 @@ type stimulus = Protocol.No_stimulus.t
 
 type state = {
   self : Node_id.t;
+  ids : Id_table.t;  (** the network's shared identifier index *)
   mutable local_round : int;
   mutable heard_from : Node_id.Set.t;
   mutable s : Node_id.Set.t;  (** the growing set of announced identifiers *)
@@ -19,9 +20,10 @@ type state = {
 
 let name = "renaming"
 
-let init ~self ~round:_ () =
+let init ~self ~round:_ ~ids () =
   {
     self;
+    ids;
     local_round = 0;
     heard_from = Node_id.Set.empty;
     s = Node_id.Set.empty;
@@ -62,8 +64,8 @@ let step ~self:_ ~round:_ ~stim:_ st ~inbox =
       in
       (st, sends, Protocol.Continue)
   | r ->
-      let echo_tally = Tally.create ~compare:Node_id.compare () in
-      let term_tally = Tally.create ~compare:Int.compare () in
+      let echo_tally = Tally.create ~compare:Node_id.compare ~ids:st.ids in
+      let term_tally = Tally.create ~compare:Int.compare ~ids:st.ids in
       List.iter
         (fun (src, msg) ->
           match msg with

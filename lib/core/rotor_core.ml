@@ -5,17 +5,10 @@ type t = {
   mutable s : Node_id.Set.t;  (** already-selected coordinators *)
   mutable r : int;  (** loop index, starts at 0 *)
   mutable history : (int * Node_id.t) list;  (** newest first *)
-  echoers : Interner.t;  (** dense indices for echo senders *)
+  ids : Id_table.t;  (** the network's shared index, for echo tallies *)
 }
 
-let create () =
-  {
-    c = [];
-    s = Node_id.Set.empty;
-    r = 0;
-    history = [];
-    echoers = Interner.create ();
-  }
+let create ~ids = { c = []; s = Node_id.Set.empty; r = 0; history = []; ids }
 
 type step_result = {
   selected : Node_id.t option;
@@ -25,7 +18,7 @@ type step_result = {
 }
 
 let rotor_round t ~self ~n_v ~echoes =
-  let tally = Tally.create ~compare:Node_id.compare ~interner:t.echoers () in
+  let tally = Tally.create ~compare:Node_id.compare ~ids:t.ids in
   List.iter (fun (sender, p) -> Tally.add tally ~sender p) echoes;
   let fresh p = not (List.exists (Node_id.equal p) t.c) in
   (* B_v gathers re-echoes for candidates past n_v/3 (reliable-broadcast
@@ -75,13 +68,14 @@ let rotor_round t ~self ~n_v ~echoes =
 let candidates t = t.c
 let selections t = List.rev t.history
 
-let copy t =
-  { t with echoers = Interner.copy t.echoers }
+(* A fresh record is a deep enough copy: the mutable fields hold immutable
+   values, and [ids] is the network's, shared on purpose. *)
+let copy t = { t with r = t.r }
 
 (* Canonical description of the parts of the rotor that influence future
    rounds: C_v (already ascending), S_v (a set), and the loop index.
-   [history] only feeds introspection and [echoers] is an index table, so
-   neither belongs in the fingerprint. *)
+   [history] only feeds introspection and [ids] is the shared index table,
+   so neither belongs in the fingerprint. *)
 let add_fingerprint b t =
   Buffer.add_string b "c=";
   Key.add_list b ~sep:',' Key.add_id t.c;

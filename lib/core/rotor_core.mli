@@ -17,10 +17,12 @@ type t = private {
   mutable s : Node_id.Set.t;  (** already-selected coordinators *)
   mutable r : int;  (** loop index, starts at 0 *)
   mutable history : (int * Node_id.t) list;  (** newest first *)
-  echoers : Interner.t;  (** dense indices for echo senders *)
+  ids : Id_table.t;  (** the network's shared index, for echo tallies *)
 }
 
-val create : unit -> t
+val create : ids:Id_table.t -> t
+(** Fresh rotor over the host node's shared index ([Protocol.S.init]'s
+    [ids]). *)
 
 type step_result = {
   selected : Node_id.t option;

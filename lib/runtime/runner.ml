@@ -82,7 +82,14 @@ module Make (P : Protocol.S) = struct
       ~(slot : slot) ~(ids : Node_id.t array) ~plan ~(sync : Sync.t)
       ~(ep : endpoint) ~max_rounds =
     let self = slot.sl_id in
-    let state = ref (P.init ~self ~round:1 slot.sl_input) in
+    (* One index table per process: nodes run on separate domains, and a
+       table is single-owner state. *)
+    let state =
+      ref
+        (P.init ~self ~round:1
+           ~ids:(Id_table.create ~hint:(Array.length ids) ())
+           slot.sl_input)
+    in
     let inbox = ref [] in
     let r = ref 1 in
     let running = ref true in

@@ -32,6 +32,7 @@ module Make (P : Protocol.S) = struct
   type t = {
     rushing : bool;
     arena : P.message Delivery.arena_state;  (* cross-round routing state *)
+    ids : Id_table.t;  (* the nodes' shared identifier index *)
     rng : Rng.t;
     faults : Ubpa_faults.plan;
     frng : Rng.t;
@@ -64,13 +65,12 @@ module Make (P : Protocol.S) = struct
   let create ?(rushing = true) ?(seed = 0xbadc0ffeeL)
       ?(faults = Ubpa_faults.empty) ?(trace = Trace.disabled) ?classify
       ?(stimulus = no_stimulus) ~correct ~byzantine () =
+    let hint = List.length correct + List.length byzantine in
     let t =
       {
         rushing;
-        arena =
-          Delivery.arena_create
-            ~hint:(List.length correct + List.length byzantine)
-            ();
+        arena = Delivery.arena_create ~hint ();
+        ids = Id_table.create ~hint ();
         rng = Rng.create seed;
         faults;
         frng = Rng.create (Int64.logxor seed 0x6661756c745eedL);
@@ -120,7 +120,7 @@ module Make (P : Protocol.S) = struct
                 {
                   c_id = id;
                   c_joined_at = t.round;
-                  c_state = P.init ~self:id ~round:t.round input;
+                  c_state = P.init ~self:id ~round:t.round ~ids:t.ids input;
                   c_first_output_round = None;
                   c_last_output = None;
                   c_halted_at = None;

@@ -32,9 +32,12 @@ module type S = sig
 
   val name : string
 
-  val init : self:Node_id.t -> round:int -> input -> state
+  val init : self:Node_id.t -> round:int -> ids:Id_table.t -> input -> state
   (** Called when the node enters the network; its first [step] happens in
-      the same [round] with an empty inbox. *)
+      the same [round] with an empty inbox. [ids] is the network's shared
+      identifier index ({!Ubpa_util.Id_table}): sets of senders are kept as
+      bitsets over it, and its indices never reach an output, key or send
+      order. *)
 
   val step :
     self:Node_id.t ->

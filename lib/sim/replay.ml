@@ -69,12 +69,13 @@ module Make (P : Protocol.S) = struct
         else sub_inbox recd rb
 
   let replay ?(delivered = false) (sc : schedule) : outcome =
+    let ids = Id_table.create ~hint:(List.length sc.sc_nodes) () in
     let nodes =
       List.map
         (fun (id, input) ->
           {
             rn_id = id;
-            rn_state = P.init ~self:id ~round:1 input;
+            rn_state = P.init ~self:id ~round:1 ~ids input;
             rn_first_output = None;
             rn_last_output = None;
             rn_halted_at = None;

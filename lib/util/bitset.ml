@@ -29,9 +29,17 @@ let clear t =
   if t.count > 0 then Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
   t.count <- 0
 
+(* Whole zero bytes are skipped; a set over a large shared index table is
+   mostly zeros around each node's own members. *)
 let fold t ~init ~f =
   let acc = ref init in
-  for ix = 0 to (8 * Bytes.length t.bits) - 1 do
-    if mem t ix then acc := f !acc ix
+  for byte = 0 to Bytes.length t.bits - 1 do
+    let c = Char.code (Bytes.unsafe_get t.bits byte) in
+    if c <> 0 then
+      for bit = 0 to 7 do
+        if c land (1 lsl bit) <> 0 then acc := f !acc ((byte lsl 3) lor bit)
+      done
   done;
   !acc
+
+let iter t f = fold t ~init:() ~f:(fun () ix -> f ix)

@@ -1,9 +1,9 @@
 (** Growable bitmap over small non-negative integers.
 
-    Companion to {!Interner}: once node identifiers are interned to dense
-    indices, per-round sender sets become byte-packed bitmaps with O(1)
-    membership and insert, replacing [Set.Make] balanced trees on the
-    per-message hot paths. *)
+    Companion to {!Id_table} and {!Interner}: once node identifiers are
+    interned to dense indices, sets of nodes (a node's heard-from set, its
+    frozen membership, a tally's senders) become byte-packed bitmaps with
+    O(1) membership and insert, n/8 bytes for n indices. *)
 
 type t
 
@@ -28,4 +28,8 @@ val clear : t -> unit
     the round-reuse primitive of the arena delivery core. *)
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Fold over the member indices in ascending order. *)
+(** Fold over the member indices in ascending order. Cost is one test per
+    byte of capacity plus one per bit of each non-zero byte. *)
+
+val iter : t -> (int -> unit) -> unit
+(** [iter t f] applies [f] to the member indices in ascending order. *)

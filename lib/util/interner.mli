@@ -2,7 +2,11 @@
 
     Identifiers drawn by {!Node_id.scatter} are sparse 30-bit integers. An
     interner assigns each identifier a dense index [0..n-1] in first-seen
-    order, letting per-node state switch to arrays and byte-sized bitmaps.
+    order, letting state keyed by node switch to arrays and byte-sized
+    bitmaps. The engine's own tables (the delivery core's recipient boxes,
+    wire accounting) use it directly; protocol state never holds one.
+    Nodes share their network's interner through {!Id_table}, which hides
+    its size and iteration, and keep their sets as {!Bitset}s over it.
 
     The table is a flat open-addressing array of slots, each holding a
     dense index + 1 (0 marks an empty slot), probed linearly from an

@@ -8,14 +8,13 @@ type 'k index =
 
 type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
-  intr : Interner.t;
+  ids : Id_table.t;
   mutable entries : 'k entry array;  (** first-seen order *)
   mutable len : int;
   mutable index : 'k index;
 }
 
-let create ~compare ?(interner = Interner.create ()) () =
-  { compare; intr = interner; entries = [||]; len = 0; index = Leaf }
+let create ~compare ~ids = { compare; ids; entries = [||]; len = 0; index = Leaf }
 
 let height = function Leaf -> 0 | Node n -> n.h
 
@@ -61,7 +60,7 @@ let entry t k =
   let pos = find t k in
   if pos >= 0 then t.entries.(pos)
   else begin
-    let e = { key = k; seen = Bitset.create ~hint:(Interner.size t.intr) () } in
+    let e = { key = k; seen = Bitset.create () } in
     if t.len = Array.length t.entries then begin
       let grown = Array.make (max 4 (2 * t.len)) e in
       Array.blit t.entries 0 grown 0 t.len;
@@ -74,7 +73,7 @@ let entry t k =
   end
 
 let add_index t ix k = Bitset.add (entry t k).seen ix
-let add t ~sender k = add_index t (Interner.intern t.intr sender) k
+let add t ~sender k = add_index t (Id_table.index t.ids sender) k
 
 let count t k =
   let pos = find t k in
@@ -85,7 +84,7 @@ let senders t k =
   if pos < 0 then []
   else
     Bitset.fold t.entries.(pos).seen ~init:[] ~f:(fun acc ix ->
-        Interner.extern t.intr ix :: acc)
+        Id_table.id t.ids ix :: acc)
     |> List.sort Node_id.compare
 
 (* Consing while walking oldest to newest leaves the newest entry first. *)

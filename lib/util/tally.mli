@@ -5,9 +5,11 @@
     answers per-content counts while suppressing duplicate (sender, content)
     pairs, as the model prescribes.
 
-    Senders are interned to dense indices (see {!Interner}) and each
-    content's sender set is a {!Bitset}, so an insert and its duplicate
-    check are O(1). Contents are kept in first-seen order and indexed by a
+    Senders are indexed by the network's shared {!Id_table} and each
+    content's sender set is a {!Bitset} over those indices, so an insert
+    and its duplicate check are O(1). Indices never leave the tally:
+    {!senders} goes back to identifiers, and every other answer is keyed
+    by content. Contents are kept in first-seen order and indexed by a
     balanced tree ordered by the tally's own [compare], so finding a
     content costs O(log k) comparisons for k distinct contents. Two
     contents are the same content exactly when [compare] returns 0. *)
@@ -15,12 +17,11 @@
 type ('k, 'v) t
 (** A tally keyed by message content ['k]; remembers the set of senders. *)
 
-val create :
-  compare:('k -> 'k -> int) -> ?interner:Interner.t -> unit -> ('k, 'v) t
-(** Empty tally. Senders are interned into [interner] — typically the
-    caller's heard-from table, shared so that indices the caller already
-    holds can be passed to {!add_index} — or into a private interner when
-    none is given. Senders met after creation are interned on the fly. *)
+val create : compare:('k -> 'k -> int) -> ids:Id_table.t -> ('k, 'v) t
+(** Empty tally whose senders are indexed by [ids], the table the node was
+    given at [init], so that indices the caller already holds can be
+    passed to {!add_index}. Senders met through {!add} are indexed on the
+    fly. *)
 
 val add : ('k, 'v) t -> sender:Node_id.t -> 'k -> unit
 (** Record that [sender] sent content [k]. Duplicate (sender, content)
@@ -28,7 +29,7 @@ val add : ('k, 'v) t -> sender:Node_id.t -> 'k -> unit
 
 val add_index : ('k, 'v) t -> int -> 'k -> unit
 (** [add_index t ix k] is [add t ~sender k] for the sender whose dense
-    index in the tally's interner is [ix], without interning it again. *)
+    index in the tally's table is [ix], without looking it up again. *)
 
 val count : ('k, 'v) t -> 'k -> int
 (** Number of distinct senders that sent [k]. *)

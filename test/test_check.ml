@@ -112,9 +112,11 @@ module Oracle = struct
   module Cons = Unknown_ba.Consensus.Make (Unknown_ba.Value.Int)
 
   let rb_state_key (st : Rb.state) =
-    let heard = ref [] in
-    Interner.iter st.heard_from (fun _ id -> heard := id :: !heard);
-    let heard = List.sort Node_id.compare !heard in
+    let heard =
+      Bitset.fold st.heard_from ~init:[] ~f:(fun acc ix ->
+          Id_table.id st.ids ix :: acc)
+      |> List.sort Node_id.compare
+    in
     let acc =
       List.sort
         (fun (a : Rb.accepted) (b : Rb.accepted) ->
@@ -152,12 +154,13 @@ module Oracle = struct
       t.r
 
   let core_key (t : Cons.Core.t) =
-    let members = ref [] in
-    Interner.iter t.intr (fun _ id -> members := id :: !members);
-    let members = List.sort Node_id.compare !members in
+    let members =
+      Bitset.fold t.members ~init:[] ~f:(fun acc ix -> Id_table.id t.ids ix :: acc)
+      |> List.sort Node_id.compare
+    in
     let silent =
       Bitset.fold t.phase_silent ~init:[] ~f:(fun acc ix ->
-          if ix < t.n_v then Interner.extern t.intr ix :: acc else acc)
+          if Bitset.mem t.members ix then Id_table.id t.ids ix :: acc else acc)
       |> List.sort Node_id.compare
     in
     let pair_cmp (a, b) (c, d) =
@@ -343,6 +346,66 @@ let test_consensus_keys_partition () =
   in
   check_true "the scripts reach many distinct states" (classes > 100)
 
+(* ----- keys never see the shared table's index order ----- *)
+
+(* The same nodes, inputs and rounds over two tables: a fresh one that the
+   nodes fill as they go, and one another network filled first with the
+   same ids in the opposite order plus strangers, stepped in the opposite
+   node order. Every index differs between the runs; no state key may. *)
+module Lockstep (Md : Ubpa_check.Model.S) = struct
+  module P = Md.P
+
+  let keys ~table ~order ~rounds nodes =
+    let live =
+      List.map
+        (fun (id, input) ->
+          (id, ref (Some (P.init ~self:id ~round:1 ~ids:table input))))
+        nodes
+    in
+    let pending = ref [] and keys = ref [] in
+    for round = 1 to rounds do
+      let inbox =
+        List.stable_sort (fun (a, _) (b, _) -> Node_id.compare a b) !pending
+      in
+      pending := [];
+      List.iter
+        (fun (id, st) ->
+          match !st with
+          | None -> ()
+          | Some s ->
+              let s, sends, status =
+                P.step ~self:id ~round ~stim:[] s ~inbox
+              in
+              pending := !pending @ List.map (fun (_, m) -> (id, m)) sends;
+              keys := (round, id, Md.state_key s) :: !keys;
+              st :=
+                (match status with
+                | Ubpa_sim.Protocol.Stop _ -> None
+                | Continue | Deliver _ -> Some s))
+        (order live)
+    done;
+    List.sort compare !keys
+
+  let test ~rounds () =
+    let correct, byzantine = Ck_rb.population ~seed:7L ~n:5 ~f:0 in
+    let filled = Id_table.create () in
+    List.iter
+      (fun id -> ignore (Id_table.index filled id))
+      (Node_id.scatter ~seed:99L 6 @ List.rev correct);
+    List.iter
+      (fun (label, inputs) ->
+        let nodes = List.combine correct inputs in
+        let a = keys ~table:(Id_table.create ()) ~order:Fun.id ~rounds nodes
+        and b = keys ~table:filled ~order:List.rev ~rounds nodes in
+        check_int (label ^ ": every node keyed every round")
+          (List.length a) (List.length b);
+        check_true (label ^ ": keys independent of the table's order") (a = b))
+      (Md.roots ~correct ~byzantine)
+end
+
+module Lock_rb = Lockstep (Ubpa_check.Models.Rb)
+module Lock_cons = Lockstep (Ubpa_check.Models.Consensus)
+
 (* ----- golden: the committed boundary counterexample ----- *)
 
 (* `dune runtest` runs in the test directory, `dune exec` wherever the
@@ -467,6 +530,10 @@ let suite =
       quick "rb keys: same partition as the Fmt oracle" test_rb_keys_partition;
       quick "consensus keys: same partition as the Fmt oracle"
         test_consensus_keys_partition;
+      quick "rb keys: independent of the shared table's order"
+        (Lock_rb.test ~rounds:4);
+      quick "consensus keys: independent of the shared table's order"
+        (Lock_cons.test ~rounds:12);
       slow "symmetry reduction is sound" test_symmetry_sound;
       quick "committed CEX_MC1.jsonl golden" test_committed_cex_golden;
       quick "differential: engine vs checker (halting)"

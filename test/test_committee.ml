@@ -225,7 +225,7 @@ let test_member_multicasts () =
   let seed = 41L in
   let sample = Committee.shared ~seed ~universe in
   let step_first member =
-    let st = P.init ~self:member ~round:1 { P.value = 1; seed; universe } in
+    let st = P.init ~self:member ~round:1 ~ids:(Id_table.create ()) { P.value = 1; seed; universe } in
     let _, sends, _ = P.step ~self:member ~round:1 ~stim:[] st ~inbox:[] in
     sends
   in

@@ -17,7 +17,7 @@ let echoes_from senders candidate =
   List.map (fun s -> (s, candidate)) senders
 
 let test_rotor_core_thresholds () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~ids:(Id_table.create ()) in
   (* 1 echo out of n_v = 4: below n_v/3 -> neither relayed nor added. *)
   let res =
     Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(echoes_from [ b ] (id 7))
@@ -40,7 +40,7 @@ let test_rotor_core_thresholds () =
   check_true "selected" (res.selected = Some (id 7))
 
 let test_rotor_core_duplicate_echo_senders () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~ids:(Id_table.create ()) in
   (* The same sender echoing thrice counts once. *)
   let res =
     Rotor_core.rotor_round r ~self:a ~n_v:4
@@ -50,7 +50,7 @@ let test_rotor_core_duplicate_echo_senders () =
   check_true "not relayed either" (res.relay_echoes = [])
 
 let test_rotor_core_round_robin_and_wrap () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~ids:(Id_table.create ()) in
   let all = echoes_from [ a; b; c; d ] in
   (* Round 0: all three candidates arrive at once. *)
   let res0 =
@@ -67,7 +67,7 @@ let test_rotor_core_round_robin_and_wrap () =
   check_true "wrap terminates" res3.finished
 
 let test_rotor_core_shift_repeats_instead_of_breaking () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~ids:(Id_table.create ()) in
   let all = echoes_from [ a; b; c; d ] in
   let res0 = Rotor_core.rotor_round r ~self:a ~n_v:4 ~echoes:(all (id 20)) in
   check_true "first selection" (res0.selected = Some (id 20));
@@ -85,7 +85,7 @@ let test_rotor_core_shift_repeats_instead_of_breaking () =
   check_true "wrap break" res3.finished
 
 let test_rotor_core_i_am_coordinator () =
-  let r = Rotor_core.create () in
+  let r = Rotor_core.create ~ids:(Id_table.create ()) in
   let all = echoes_from [ a; b; c; d ] in
   let res = Rotor_core.rotor_round r ~self:(id 10) ~n_v:4 ~echoes:(all (id 10)) in
   check_true "self selected" res.i_am_coordinator
@@ -97,7 +97,7 @@ module C = Consensus_core.Make (Value.Int)
 let members_inbox msg_of = List.map (fun s -> (s, msg_of s)) [ a; b; c; d ]
 
 let test_consensus_core_schedule () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~ids:(Id_table.create ()) ~input:1 in
   (* Round 1: init broadcast. *)
   let sends, st = C.step core ~inbox:[] in
   check_true "round1 init" (sends = [ (Ubpa_sim.Envelope.Broadcast, C.Init) ]);
@@ -130,7 +130,7 @@ let test_consensus_core_schedule () =
   check_true "decided 1" (st = C.Decided 1)
 
 let test_consensus_core_discards_non_members () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~ids:(Id_table.create ()) ~input:1 in
   let _ = C.step core ~inbox:[] in
   let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
   let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
@@ -144,8 +144,34 @@ let test_consensus_core_discards_non_members () =
   check_true "prefer 1 despite stranger flood"
     (List.mem (Ubpa_sim.Envelope.Broadcast, C.Prefer 1) sends)
 
+(* The shared table is the network's, not this node's: an id some other
+   node indexed early is still a stranger here if this node first hears it
+   after round 3. *)
+let test_consensus_core_late_sender_in_shared_table () =
+  let ids = Id_table.create () in
+  let late = id 500 in
+  ignore (Id_table.index ids late);
+  let core = C.create ~self:a ~ids ~input:0 in
+  let _ = C.step core ~inbox:[] in
+  let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
+  let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
+  check_int "n_v counts this node's senders" 4 (C.n_v core);
+  check_false "late sender not a member"
+    (List.exists (Node_id.equal late) (C.members core));
+  (* Round 4: members split 2-2; the late sender's input would make it
+     3 of 4 for 1, a 2n_v/3 quorum. *)
+  let sends, _ =
+    C.step core
+      ~inbox:
+        [
+          (a, C.Input 0); (b, C.Input 1); (c, C.Input 1); (d, C.Input 0);
+          (late, C.Input 1);
+        ]
+  in
+  check_true "late sender dropped: no prefer" (sends = [])
+
 let test_consensus_core_substitution_for_silent_member () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~ids:(Id_table.create ()) ~input:1 in
   let _ = C.step core ~inbox:[] in
   let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
   let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
@@ -169,7 +195,7 @@ let test_consensus_core_substitution_for_silent_member () =
   check_true "decided with a silent member" (st = C.Decided 1)
 
 let test_consensus_core_no_substitution_for_active_member () =
-  let core = C.create ~self:a ~input:1 in
+  let core = C.create ~self:a ~ids:(Id_table.create ()) ~input:1 in
   let _ = C.step core ~inbox:[] in
   let _ = C.step core ~inbox:(members_inbox (fun _ -> C.Init)) in
   let _ = C.step core ~inbox:(members_inbox (fun s -> C.Cand_echo s)) in
@@ -206,7 +232,7 @@ let bootstrap core =
   ()
 
 let test_pc_core_own_instance_flow () =
-  let core = Pc.create ~self:a ~inputs:[ (1, 5) ] () in
+  let core = Pc.create ~self:a ~ids:(Id_table.create ()) ~inputs:[ (1, 5) ] () in
   let _ = Pc.step core ~inbox:[] in
   let _ = Pc.step core ~inbox:(pc_members_inbox (fun _ -> Pc.Init)) in
   (* Round 3 = phase 1 position 1: broadcast the input pair. *)
@@ -238,7 +264,7 @@ let test_pc_core_own_instance_flow () =
   check_true "done with (1,5)" (st = Pc.Done [ (1, 5) ])
 
 let test_pc_core_ghost_instance_bot_suppression () =
-  let core = Pc.create ~self:a ~inputs:[] () in
+  let core = Pc.create ~self:a ~ids:(Id_table.create ()) ~inputs:[] () in
   bootstrap core;
   (* Position 2 of phase 1: a ghost instance arrives via a single input.
      The node discovers it and — filling ⊥ for the three silent members —
@@ -265,7 +291,7 @@ let test_pc_core_ghost_instance_bot_suppression () =
   check_true "instance decided bottom" (Pc.decided core = [ (9, None) ])
 
 let test_pc_core_late_instance_ignored () =
-  let core = Pc.create ~self:a ~inputs:[] () in
+  let core = Pc.create ~self:a ~ids:(Id_table.create ()) ~inputs:[] () in
   bootstrap core;
   (* Finish phase 1 with no instances. *)
   let _ = Pc.step core ~inbox:[] in
@@ -281,7 +307,7 @@ let test_pc_core_restrict_filters_senders () =
   let core =
     Pc.create
       ~restrict:(Node_id.Set.of_list [ a; b ])
-      ~self:a ~inputs:[ (1, 5) ] ()
+      ~self:a ~ids:(Id_table.create ()) ~inputs:[ (1, 5) ] ()
   in
   let _ = Pc.step core ~inbox:[] in
   let _ = Pc.step core ~inbox:(pc_members_inbox (fun _ -> Pc.Init)) in
@@ -292,7 +318,7 @@ let test_pc_core_restrict_filters_senders () =
 let test_pc_core_duplicate_input_ids_rejected () =
   check_true "raises"
     (try
-       ignore (Pc.create ~self:a ~inputs:[ (1, 5); (1, 6) ] ());
+       ignore (Pc.create ~self:a ~ids:(Id_table.create ()) ~inputs:[ (1, 5); (1, 6) ] ());
        false
      with Invalid_argument _ -> true)
 
@@ -310,6 +336,8 @@ let suite =
         test_consensus_core_schedule;
       quick "consensus-core: non-members are discarded"
         test_consensus_core_discards_non_members;
+      quick "consensus-core: a late sender stays out of a shared table's node"
+        test_consensus_core_late_sender_in_shared_table;
       quick "consensus-core: substitution for phase-silent members"
         test_consensus_core_substitution_for_silent_member;
       quick "consensus-core: no substitution for active members"

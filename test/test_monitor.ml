@@ -223,7 +223,7 @@ module Ping_once = struct
   type state = unit
 
   let name = "ping-once"
-  let init ~self:_ ~round:_ () = ()
+  let init ~self:_ ~round:_ ~ids:_ () = ()
 
   let step ~self:_ ~round:_ ~stim:_ () ~inbox:_ =
     ((), [ (Envelope.Broadcast, 0) ], Protocol.Stop ())

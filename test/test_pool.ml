@@ -403,15 +403,18 @@ let prop_tally_matches_list_oracle =
       let ids = Node_id.scatter ~seed:55L 16 in
       let id_of i = List.nth ids i in
       let oracle = List_tally.create ~compare in
-      let own = Tally.create ~compare () in
-      let intr = Interner.create () in
-      let shared = Tally.create ~compare ~interner:intr () in
+      let own = Tally.create ~compare ~ids:(Id_table.create ()) in
+      (* A table another node filled first, in the opposite order: the
+         indices differ from [own]'s, the answers must not. *)
+      let table = Id_table.create () in
+      List.iter (fun id -> ignore (Id_table.index table id)) (List.rev ids);
+      let shared = Tally.create ~compare ~ids:table in
       List.iter
         (fun (sender_ix, content) ->
           let sender = id_of sender_ix in
           List_tally.add oracle ~sender content;
           Tally.add own ~sender content;
-          Tally.add_index shared (Interner.intern intr sender) content)
+          Tally.add_index shared (Id_table.index table sender) content)
         events;
       let agrees t =
         Tally.contents t = List_tally.contents oracle
@@ -428,6 +431,38 @@ let prop_tally_matches_list_oracle =
              [ 1; 2; 3; 5 ]
       in
       agrees own && agrees shared)
+
+(* ----- Bitset.fold vs a naive per-bit fold ----- *)
+
+let prop_bitset_fold_matches_naive =
+  QCheck2.Test.make ~count:300
+    ~name:"Bitset.fold equals a per-bit fold, after copy and clear too"
+    QCheck2.Gen.(
+      pair (int_range 1 300)
+        (list_size (int_range 0 60) (int_bound 2_000)))
+    (fun (hint, adds) ->
+      let naive b =
+        let acc = ref [] in
+        for ix = 0 to 2_100 do
+          if Bitset.mem b ix then acc := ix :: !acc
+        done;
+        List.rev !acc
+      in
+      let folded b =
+        List.rev (Bitset.fold b ~init:[] ~f:(fun acc ix -> ix :: acc))
+      in
+      let iterated b =
+        let acc = ref [] in
+        Bitset.iter b (fun ix -> acc := ix :: !acc);
+        List.rev !acc
+      in
+      let agrees b = folded b = naive b && iterated b = naive b in
+      let b = Bitset.create ~hint () in
+      List.iter (Bitset.add b) adds;
+      let snapshot = Bitset.copy b in
+      let full = agrees b && folded b = List.sort_uniq Int.compare adds in
+      Bitset.clear b;
+      full && agrees snapshot && agrees b && folded b = [])
 
 let suite =
   ( "pool+dense-index",
@@ -450,5 +485,6 @@ let suite =
           prop_tally_matches_list_oracle;
           prop_interner_matches_model;
           prop_interner_copy_independent;
+          prop_bitset_fold_matches_naive;
         ]
   )

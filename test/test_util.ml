@@ -79,7 +79,7 @@ let test_rng_shuffle_permutation () =
   check_true "permutation" (List.sort compare s = l)
 
 let test_tally_dedup () =
-  let t = Tally.create ~compare:String.compare () in
+  let t = Tally.create ~compare:String.compare ~ids:(Id_table.create ()) in
   let a = Node_id.of_int 1 and b = Node_id.of_int 2 in
   Tally.add t ~sender:a "x";
   Tally.add t ~sender:a "x";
@@ -88,7 +88,7 @@ let test_tally_dedup () =
   check_int "absent content" 0 (Tally.count t "y")
 
 let test_tally_max_and_meeting () =
-  let t = Tally.create ~compare:String.compare () in
+  let t = Tally.create ~compare:String.compare ~ids:(Id_table.create ()) in
   List.iteri
     (fun i v -> Tally.add t ~sender:(Node_id.of_int i) v)
     [ "a"; "a"; "a"; "b"; "b"; "c" ];
@@ -103,7 +103,7 @@ let test_tally_max_and_meeting () =
   check_true "a and b meet" (List.sort compare meets = [ "a"; "b" ])
 
 let test_tally_tie_break () =
-  let t = Tally.create ~compare:String.compare () in
+  let t = Tally.create ~compare:String.compare ~ids:(Id_table.create ()) in
   Tally.add t ~sender:(Node_id.of_int 1) "z";
   Tally.add t ~sender:(Node_id.of_int 2) "a";
   match Tally.max_by_count t with
